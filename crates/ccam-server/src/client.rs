@@ -448,12 +448,7 @@ impl Backoff {
             .base
             .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
             .min(self.max);
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        let r = ccam_storage::xorshift64_star(&mut self.rng);
         let cap_us = u64::try_from(cap.as_micros()).unwrap_or(u64::MAX);
         Duration::from_micros(cap_us / 2 + r % (cap_us / 2 + 1))
     }

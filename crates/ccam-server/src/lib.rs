@@ -76,7 +76,7 @@
 //! Snapshot consistency across a writer commit is delegated to
 //! [`EpochCell`] — see `ccam_core::epoch` for the MVCC-lite design:
 //! readers pin the last committed view (`serve.snapshot_pins` counts
-//! pins, `serve.reader_stall_ms` histograms the time to take one) and
+//! pins, `serve.reader_stall_us` histograms the time to take one) and
 //! never block on — nor observe — an in-flight writer.
 
 pub mod client;
@@ -822,8 +822,8 @@ fn execute_batch<S: PageStore>(shared: &Shared<S>, conn: &Conn, batch: &Batch) -
     // write path (the publish lock); the histogram proves it stays ~0
     // even while `reorganize_full` runs.
     m.observe(
-        "serve.reader_stall_ms",
-        u64::try_from(pin_start.elapsed().as_millis()).unwrap_or(u64::MAX),
+        "serve.reader_stall_us",
+        u64::try_from(pin_start.elapsed().as_micros()).unwrap_or(u64::MAX),
     );
     batch
         .reqs

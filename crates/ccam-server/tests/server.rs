@@ -96,6 +96,15 @@ fn batched_queries_round_trip() {
         }
         other => panic!("expected stats, got {other:?}"),
     }
+    // Every served batch records its snapshot-pin latency.
+    client.call(&[Request::Find(a)]).unwrap();
+    let m = handle.metrics();
+    let stall = m.histogram("serve.reader_stall_us").unwrap();
+    assert_eq!(stall.count(), 2);
+    assert_eq!(stall.count(), m.counter("serve.batches"));
+    assert!(m
+        .to_json()
+        .contains("\"serve.reader_stall_us\": {\"count\":2,"));
     handle.shutdown().unwrap();
 }
 

@@ -1620,36 +1620,30 @@ mod tests {
     fn drop_flushes_dirty_frames() {
         // A shared store observed after the pool drops: dirty frames must
         // have been written back by Drop.
-        use crate::testing::CountingStore;
-        let (store, counters) = CountingStore::new(MemPageStore::new(128).unwrap());
+        use crate::testing::FaultStore;
+        let (store, ctl) = FaultStore::new(MemPageStore::new(128).unwrap(), 0);
         let p = BufferPool::new(store, 2);
         let a = p.allocate().unwrap();
         p.with_page_mut(a, |buf| buf.fill(3)).unwrap();
-        assert_eq!(
-            counters.writes.load(std::sync::atomic::Ordering::Relaxed),
-            0
-        );
+        assert_eq!(ctl.ops().writes, 0);
         drop(p);
-        assert_eq!(
-            counters.writes.load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(ctl.ops().writes, 1);
     }
 
     #[test]
     fn failed_fill_is_never_left_cached_as_valid() {
-        use crate::testing::FlakyStore;
-        let (store, switch) = FlakyStore::new(MemPageStore::new(128).unwrap());
+        use crate::testing::FaultStore;
+        let (store, switch) = FaultStore::new(MemPageStore::new(128).unwrap(), 0);
         let p = BufferPool::new(store, 4);
         let a = p.allocate().unwrap();
         p.with_page_mut(a, |buf| buf.fill(0x42)).unwrap();
         p.clear().unwrap();
         // The fill read fails: no frame may be created for the page.
-        switch.arm_after(0);
+        switch.fail_after(0);
         assert!(p.with_page(a, |_| ()).is_err());
         assert!(!p.is_resident(a), "failed fill left a frame cached");
         // Nothing dirty was fabricated either: clearing writes nothing.
-        switch.disarm();
+        switch.stop_failing();
         let before = p.stats().snapshot();
         p.clear().unwrap();
         assert_eq!(p.stats().snapshot().since(&before).physical_writes, 0);
@@ -1662,8 +1656,8 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_on_fill_is_counted_and_not_cached() {
-        use crate::testing::CorruptStore;
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 5);
+        use crate::testing::FaultStore;
+        let (store, ctl) = FaultStore::new(MemPageStore::new(128).unwrap(), 5);
         let p = BufferPool::new(store, 4);
         let a = p.allocate().unwrap();
         p.with_page_mut(a, |buf| buf.fill(9)).unwrap();
@@ -1679,14 +1673,14 @@ mod tests {
 
     #[test]
     fn failed_store_free_keeps_the_buffered_copy() {
-        use crate::testing::FlakyStore;
-        let (store, switch) = FlakyStore::new(MemPageStore::new(128).unwrap());
+        use crate::testing::FaultStore;
+        let (store, switch) = FaultStore::new(MemPageStore::new(128).unwrap(), 0);
         let p = BufferPool::new(store, 4);
         let a = p.allocate().unwrap();
         p.with_page_mut(a, |buf| buf.fill(6)).unwrap();
-        switch.arm_after(0);
+        switch.fail_after(0);
         assert!(p.free(a).is_err());
-        switch.disarm();
+        switch.stop_failing();
         // The dirty frame survived the failed free and still flushes.
         assert!(p.is_resident(a));
         let ok = p.with_page(a, |buf| buf.iter().all(|&x| x == 6)).unwrap();
@@ -1701,8 +1695,8 @@ mod tests {
     /// come first.
     #[test]
     fn failed_fill_leaves_prior_residents_buffered() {
-        use crate::testing::CorruptStore;
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 5);
+        use crate::testing::FaultStore;
+        let (store, ctl) = FaultStore::new(MemPageStore::new(128).unwrap(), 5);
         let p = BufferPool::new(store, 2);
         let a = p.allocate().unwrap();
         let b = p.allocate().unwrap();
@@ -1744,8 +1738,8 @@ mod tests {
     /// error.
     #[test]
     fn failed_shrink_restores_capacity() {
-        use crate::testing::CorruptStore;
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 5);
+        use crate::testing::FaultStore;
+        let (store, ctl) = FaultStore::new(MemPageStore::new(128).unwrap(), 5);
         let p = BufferPool::new(store, 3);
         let ids: Vec<_> = (0..3).map(|_| p.allocate().unwrap()).collect();
         for &id in &ids {
@@ -1753,9 +1747,9 @@ mod tests {
         }
         // Every store op fails: the first dirty write-back aborts the
         // shrink.
-        ctl.set_fault_rate(1024, 1);
+        ctl.set_glitch_rate(1024, 1);
         assert!(p.set_capacity(1).is_err());
-        ctl.set_fault_rate(0, 1);
+        ctl.set_glitch_rate(0, 1);
         assert_eq!(p.capacity(), 3, "failed shrink must keep the old capacity");
         assert!(
             p.resident_pages().len() <= p.capacity(),
@@ -1954,8 +1948,8 @@ mod tests {
 
     #[test]
     fn linear_failed_fill_is_never_left_cached_as_valid() {
-        use crate::testing::CorruptStore;
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 7);
+        use crate::testing::FaultStore;
+        let (store, ctl) = FaultStore::new(MemPageStore::new(128).unwrap(), 7);
         let p = BufferPool::with_strategy(store, 2, PoolStrategy::Linear);
         let a = p.allocate().unwrap();
         ctl.mark_corrupt(a);
@@ -1968,8 +1962,8 @@ mod tests {
 
     #[test]
     fn linear_failed_shrink_restores_capacity() {
-        use crate::testing::CorruptStore;
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(128).unwrap(), 7);
+        use crate::testing::FaultStore;
+        let (store, ctl) = FaultStore::new(MemPageStore::new(128).unwrap(), 7);
         let p = BufferPool::with_strategy(store, 2, PoolStrategy::Linear);
         let a = p.allocate().unwrap();
         let b = p.allocate().unwrap();
@@ -1977,10 +1971,10 @@ mod tests {
         p.with_page_mut(b, |buf| buf.fill(2)).unwrap();
         // Every write-back fails: the shrink must fail and leave the old
         // capacity (and both dirty frames) in place.
-        ctl.set_fault_rate(1024, u64::MAX);
+        ctl.set_glitch_rate(1024, u64::MAX);
         assert!(p.set_capacity(1).is_err());
         assert_eq!(p.capacity(), 2);
-        ctl.set_fault_rate(0, 1);
+        ctl.set_glitch_rate(0, 1);
         p.set_capacity(1).unwrap();
         assert_eq!(p.capacity(), 1);
         assert_eq!(p.resident_pages().len(), 1);

@@ -751,7 +751,7 @@ impl<S: PageStore> PageStore for WalStore<S> {
 mod tests {
     use super::*;
     use crate::store::{FilePageStore, MemPageStore};
-    use crate::testing::FlakyStore;
+    use crate::testing::FaultStore;
     use crate::wal::wal_sidecar;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -906,15 +906,15 @@ mod tests {
     #[test]
     fn failed_mutation_poisons_until_rollback() {
         let wal_path = temp_path("poison.wal");
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap(), 0);
         let mut s = WalStore::create(flaky, &wal_path).unwrap();
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
         s.sync().unwrap();
 
-        switch.arm_after(0);
+        switch.fail_after(0);
         assert!(s.allocate().is_err()); // injected failure → poisoned
-        switch.disarm();
+        switch.stop_failing();
         assert!(s.is_poisoned());
         assert!(matches!(
             s.write(a, &[2u8; 64]),
@@ -935,7 +935,7 @@ mod tests {
     #[test]
     fn logged_batch_survives_apply_failure_and_retries() {
         let wal_path = temp_path("retry.wal");
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap(), 0);
         let mut s = WalStore::create(flaky, &wal_path).unwrap();
         let a = s.allocate().unwrap();
         s.sync().unwrap();
@@ -944,13 +944,13 @@ mod tests {
         // Fail the *inner* write during apply: the batch is already in
         // the log (the log file is not flaky), so this strikes after the
         // commit point.
-        switch.arm_after(0);
+        switch.fail_after(0);
         assert!(s.sync().is_err());
         assert!(s.is_poisoned());
         // Rollback is refused — the batch is committed.
         assert!(s.rollback().is_err());
 
-        switch.disarm();
+        switch.stop_failing();
         s.sync().unwrap(); // retry completes the apply
         assert!(!s.is_poisoned());
         let mut buf = [0u8; 64];
@@ -1024,7 +1024,7 @@ mod tests {
     #[test]
     fn manual_checkpoint_truncates_and_refuses_when_poisoned() {
         let wal_path = temp_path("manual-ckpt.wal");
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap(), 0);
         let mut s = WalStore::create(flaky, &wal_path).unwrap();
         s.set_max_wal_bytes(Some(1 << 20));
         let a = s.allocate().unwrap();
@@ -1037,9 +1037,9 @@ mod tests {
         // Mid-apply failure leaves a logged batch; checkpoint must refuse
         // until a retried sync() completes the apply.
         s.write(a, &[2u8; 64]).unwrap();
-        switch.arm_after(0);
+        switch.fail_after(0);
         assert!(s.sync().is_err());
-        switch.disarm();
+        switch.stop_failing();
         assert!(matches!(
             WalStore::checkpoint(&mut s),
             Err(StorageError::Poisoned)

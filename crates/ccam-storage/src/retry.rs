@@ -103,6 +103,19 @@ impl RetryPolicy {
     }
 }
 
+/// One step of the xorshift64* generator: advances `state` (which must
+/// be nonzero) and returns the next 64 random bits. Every seeded stream
+/// in the workspace — backoff jitter, injected faults and stalls — is
+/// one of these, so a seed replays the same schedule everywhere.
+pub fn xorshift64_star(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
 /// Callback invoked with each backoff delay (in ticks) before a retry.
 pub type Sleeper = dyn Fn(u64) + Send + Sync;
 
@@ -154,13 +167,7 @@ impl<S: PageStore> RetryStore<S> {
         let Some(state) = &self.jitter else {
             return full;
         };
-        let mut s = state.lock();
-        let mut x = *s;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        *s = x;
-        let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        let r = xorshift64_star(&mut state.lock());
         full / 2 + r % (full / 2 + 1)
     }
 
@@ -305,13 +312,25 @@ impl<S: PageStore> PageStore for RetryStore<S> {
     ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
         self.inner.enable_snapshots()
     }
+
+    fn wal_retention(&self) -> Option<Arc<crate::WalRetention>> {
+        self.inner.wal_retention()
+    }
+
+    fn repl_feed(&mut self, after: u64) -> StorageResult<crate::ReplFeed> {
+        self.inner.repl_feed(after)
+    }
+
+    fn repl_image(&mut self) -> StorageResult<crate::ReplImageState> {
+        self.inner.repl_image()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::MemPageStore;
-    use crate::testing::FlakyStore;
+    use crate::testing::FaultStore;
     use parking_lot::Mutex;
 
     #[test]
@@ -331,10 +350,10 @@ mod tests {
 
     #[test]
     fn transient_faults_are_absorbed_and_counted() {
-        // FlakyStore keeps failing while armed, so disarm from the
+        // FaultStore keeps failing while armed, so disarm from the
         // sleeper after the second failure — models a two-op glitch
         // absorbed within a four-attempt budget.
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap(), 0);
         let sw = std::sync::Arc::clone(&switch);
         let fails = std::sync::atomic::AtomicU64::new(0);
         let mut s = RetryStore::with_sleeper(
@@ -347,13 +366,13 @@ mod tests {
             },
             move |_| {
                 if fails.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 >= 2 {
-                    sw.disarm();
+                    sw.stop_failing();
                 }
             },
         );
         let p = s.allocate().unwrap();
         s.write(p, &[7u8; 64]).unwrap();
-        switch.arm_after(0);
+        switch.fail_after(0);
         let mut buf = [0u8; 64];
         s.read(p, &mut buf).unwrap();
         assert_eq!(buf, [7u8; 64]);
@@ -362,10 +381,10 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_surfaces_the_error() {
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap(), 0);
         let mut s = RetryStore::new(flaky, RetryPolicy::default());
         let p = s.allocate().unwrap();
-        switch.arm_after(0); // fail forever
+        switch.fail_after(0); // fail forever
         let mut buf = [0u8; 64];
         assert!(matches!(s.read(p, &mut buf), Err(StorageError::Io(_))));
         // max_attempts = 3 ⇒ 2 retries recorded.
@@ -388,10 +407,10 @@ mod tests {
     fn recorded_delays(policy: RetryPolicy) -> Vec<u64> {
         let delays: std::sync::Arc<Mutex<Vec<u64>>> = std::sync::Arc::new(Mutex::new(Vec::new()));
         let d = std::sync::Arc::clone(&delays);
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap(), 0);
         let mut s = RetryStore::with_sleeper(flaky, policy, move |t| d.lock().push(t));
         let p = s.allocate().unwrap();
-        switch.arm_after(0);
+        switch.fail_after(0);
         let mut buf = [0u8; 64];
         assert!(s.read(p, &mut buf).is_err());
         let out = delays.lock().clone();
@@ -440,7 +459,7 @@ mod tests {
     fn sleeper_sees_the_exact_backoff_sequence() {
         let delays: std::sync::Arc<Mutex<Vec<u64>>> = std::sync::Arc::new(Mutex::new(Vec::new()));
         let d = std::sync::Arc::clone(&delays);
-        let (flaky, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (flaky, switch) = FaultStore::new(MemPageStore::new(64).unwrap(), 0);
         let mut s = RetryStore::with_sleeper(
             flaky,
             RetryPolicy {
@@ -452,7 +471,7 @@ mod tests {
             move |t| d.lock().push(t),
         );
         let p = s.allocate().unwrap();
-        switch.arm_after(0);
+        switch.fail_after(0);
         let mut buf = [0u8; 64];
         assert!(s.read(p, &mut buf).is_err());
         assert_eq!(*delays.lock(), vec![2, 4, 6, 6]);

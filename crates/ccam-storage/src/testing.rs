@@ -1,101 +1,466 @@
-//! Test-support stores: failure injection, crash simulation, and
-//! operation tracing.
+//! Test-support stores: seeded fault injection and deterministic
+//! workloads.
 //!
-//! A disk-based access method must surface I/O failures as errors, never
-//! panics or silent corruption. [`FlakyStore`] wraps any [`PageStore`]
-//! and starts failing after a configurable number of operations, letting
-//! higher layers' tests walk the entire error path; [`CrashStore`]
-//! simulates a power cut — optionally with a torn page write — at a
-//! scheduled mutation index, after which every operation fails, for
-//! crash-recovery tests; [`FullDiskStore`] simulates the device running
-//! out of space (`ENOSPC`, optionally as a short write) at a scheduled
-//! mutation index, for graceful-abort tests; [`CountingStore`] records
-//! per-operation counts for tests asserting raw store traffic;
-//! [`ChaosStore`] composes glitches, page corruption, `ENOSPC` and
-//! seeded latency stalls behind one controller for chaos harnesses.
+//! A disk-based access method must surface I/O failures as typed errors,
+//! never panics or silent corruption. [`FaultStore`] wraps any
+//! [`PageStore`] and injects every fault class the tests need, driven by
+//! one shared [`FaultController`]:
+//!
+//! * **I/O failure** — [`FaultController::fail_after`]: the next `ops`
+//!   operations succeed, every later one fails with an I/O error until
+//!   [`FaultController::stop_failing`]. Walks higher layers' error paths.
+//! * **Power cut** — [`FaultController::crash_after`]: the next `ops`
+//!   mutations succeed, then the store dies, optionally tearing the page
+//!   write it dies on ([`TornWrite`]). A dead store fails everything —
+//!   reads, `rollback` and `checkpoint` included — until
+//!   [`FaultController::revive`]. For crash-recovery tests.
+//! * **Full disk** — [`FaultController::fill_after`]: the next `ops`
+//!   mutations succeed, then allocate / write / sync / ensure fail with
+//!   [`StorageError::NoSpace`] (the filling write optionally landing a
+//!   half-page prefix) until [`FaultController::drain`]. Reads, `free`
+//!   and `rollback` keep working: they release space. For graceful-abort
+//!   tests.
+//! * **Glitches and rot** — [`FaultController::set_glitch_rate`] starts
+//!   seeded bursts of transient I/O errors that a [`crate::RetryStore`]
+//!   with more attempts than the burst absorbs;
+//!   [`FaultController::mark_corrupt`] makes every read of a page fail
+//!   with [`StorageError::ChecksumMismatch`] until a full-page write
+//!   restamps it.
+//! * **Latency** — [`FaultController::set_stall_rate`] stalls seeded
+//!   reads and writes with a real sleep.
+//!
+//! [`FaultController::ops`] counts raw store traffic (below the buffer
+//! pool, unlike [`crate::IoStats`]) whatever is armed.
+//!
+//! Everything random is drawn from xorshift streams seeded at
+//! construction, in a fixed order per operation: stall, corruption
+//! check, glitch, `ENOSPC` tick, inner call, heal. No wall clock or OS
+//! randomness is consulted, so a failing schedule replays exactly.
 //!
 //! [`SweepRng`] is the deterministic generator crash-sweep harnesses
 //! derive their workloads from: same seed, same workload, same crash
 //! schedule — a failing sweep round replays exactly.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
+use crate::retry::xorshift64_star;
 use crate::store::PageStore;
 
-/// Shared switch controlling when a [`FlakyStore`] starts failing.
-#[derive(Debug)]
-pub struct FailureSwitch {
-    /// Operations remaining before failures begin (u64::MAX = never).
-    remaining: AtomicU64,
+// ---------------------------------------------------------------------------
+// Fault injection
+// ---------------------------------------------------------------------------
+
+/// How the page write a [`FaultStore`] crashes or fills on lands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TornWrite {
+    /// The write never reaches the page (clean power cut between writes).
+    None,
+    /// Only the first half of the buffer lands; the rest of the page
+    /// keeps its old contents (torn sector write).
+    Partial,
+    /// The page is zero-filled (drive wrote garbage/zeros on power loss).
+    Zeroed,
 }
 
-impl FailureSwitch {
-    /// A switch that never fires.
-    pub fn disarmed() -> Arc<FailureSwitch> {
-        Arc::new(FailureSwitch {
-            remaining: AtomicU64::new(u64::MAX),
-        })
-    }
+/// Raw operation counts of a [`FaultStore`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpCounts {
+    /// Raw page reads.
+    pub reads: u64,
+    /// Raw page writes.
+    pub writes: u64,
+    /// Page allocations (`allocate` and `ensure_allocated`).
+    pub allocs: u64,
+    /// Page frees.
+    pub frees: u64,
+    /// Sync (commit-point) calls — makes commit frequency observable in
+    /// experiments comparing WAL and non-WAL configurations.
+    pub syncs: u64,
+}
 
-    /// Arms the switch: the next `ops` operations succeed, everything
-    /// after fails.
-    pub fn arm_after(&self, ops: u64) {
-        self.remaining.store(ops, Ordering::SeqCst);
-    }
+/// A budgeted store operation (`ensure_allocated` counts as `Allocate`).
+#[derive(Clone, Copy)]
+enum Op {
+    Allocate,
+    Read(PageId),
+    Write,
+    Free,
+    Sync,
+}
 
-    /// Disarms the switch (operations succeed again).
-    pub fn disarm(&self) {
-        self.remaining.store(u64::MAX, Ordering::SeqCst);
-    }
+/// Countdown value of a disarmed budget.
+const NEVER: u64 = u64::MAX;
 
-    fn tick(&self) -> StorageResult<()> {
-        let prev = self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                if v == u64::MAX {
-                    None // disarmed: don't decrement
-                } else {
-                    Some(v.saturating_sub(1))
-                }
-            });
-        match prev {
-            Err(_) => Ok(()), // disarmed
-            Ok(0) => Err(StorageError::Io(std::io::Error::other(
-                "injected I/O failure",
-            ))),
-            Ok(_) => Ok(()),
+/// Ticks a countdown; true once it has run out (and on every tick after).
+fn expired(left: &mut u64) -> bool {
+    match *left {
+        NEVER => false,
+        0 => true,
+        n => {
+            *left = n - 1;
+            false
         }
     }
 }
 
-/// A [`PageStore`] wrapper that injects I/O errors once its
-/// [`FailureSwitch`] fires.
-pub struct FlakyStore<S: PageStore> {
-    inner: S,
-    switch: Arc<FailureSwitch>,
+fn io_error(msg: &'static str) -> StorageError {
+    StorageError::Io(std::io::Error::other(msg))
 }
 
-impl<S: PageStore> FlakyStore<S> {
-    /// Wraps `inner`; returns the store and its failure switch.
-    pub fn new(inner: S) -> (Self, Arc<FailureSwitch>) {
-        let switch = FailureSwitch::disarmed();
-        (
-            FlakyStore {
-                inner,
-                switch: Arc::clone(&switch),
-            },
-            switch,
-        )
+fn power_failure() -> StorageError {
+    io_error("simulated power failure")
+}
+
+/// An injected failure and how the write it strikes lands.
+struct Fault {
+    err: StorageError,
+    tear: TornWrite,
+}
+
+impl From<StorageError> for Fault {
+    fn from(err: StorageError) -> Fault {
+        Fault {
+            err,
+            tear: TornWrite::None,
+        }
     }
 }
 
-impl<S: PageStore> PageStore for FlakyStore<S> {
+impl From<Fault> for StorageError {
+    fn from(f: Fault) -> StorageError {
+        f.err
+    }
+}
+
+/// The fault plan behind a [`FaultController`].
+#[derive(Debug)]
+struct Plan {
+    /// Operations left before every operation fails.
+    fail_in: u64,
+    /// Mutations left before the power cut.
+    crash_in: u64,
+    crash_tear: TornWrite,
+    dead: bool,
+    /// Mutations left before the disk fills.
+    fill_in: u64,
+    fill_tear: TornWrite,
+    full: bool,
+    glitch_rng: u64,
+    /// Per-1024 chance that an operation starts a glitch (0 = off).
+    glitch_per_1024: u64,
+    /// Consecutive failures per glitch (≥ 1).
+    glitch_burst: u64,
+    /// Failures still owed from the glitch in progress.
+    glitch_pending: u64,
+    stall_rng: u64,
+    /// Per-1024 chance that a read or write stalls (0 = off).
+    stall_per_1024: u64,
+    stall_us: u64,
+    /// Pages that fail checksum verification on read.
+    corrupt: BTreeSet<u32>,
+    /// Glitches and `NoSpace` errors injected so far.
+    injected: u64,
+    stalls: u64,
+    ops: OpCounts,
+}
+
+impl Plan {
+    /// Everything decided before the stall: the op counters, the I/O
+    /// failure budget, the power cut, and the stall draw itself.
+    fn before_stall(&mut self, op: Op) -> Result<Option<Duration>, Fault> {
+        let c = &mut self.ops;
+        match op {
+            Op::Allocate => c.allocs += 1,
+            Op::Read(_) => c.reads += 1,
+            Op::Write => c.writes += 1,
+            Op::Free => c.frees += 1,
+            Op::Sync => c.syncs += 1,
+        }
+        if expired(&mut self.fail_in) {
+            return Err(io_error("injected I/O failure").into());
+        }
+        if self.dead {
+            return Err(power_failure().into());
+        }
+        if !matches!(op, Op::Read(_)) && expired(&mut self.crash_in) {
+            self.dead = true;
+            return Err(Fault {
+                err: power_failure(),
+                tear: self.crash_tear,
+            });
+        }
+        let stalls = matches!(op, Op::Read(_) | Op::Write)
+            && self.stall_per_1024 > 0
+            && xorshift64_star(&mut self.stall_rng) % 1024 < self.stall_per_1024;
+        if !stalls {
+            return Ok(None);
+        }
+        self.stalls += 1;
+        Ok(Some(Duration::from_micros(self.stall_us)))
+    }
+
+    /// Everything decided after the stall: page rot, the glitch draw and
+    /// the `ENOSPC` budget.
+    fn after_stall(&mut self, op: Op) -> Result<(), Fault> {
+        if let Op::Read(id) = op {
+            if self.corrupt.contains(&id.0) {
+                // Deterministic fabricated checksums: what a real v2
+                // file would report, minus the actual bit pattern.
+                let stored = 0xBAD0_0000 | id.0;
+                return Err(StorageError::ChecksumMismatch {
+                    page: id,
+                    stored,
+                    computed: stored ^ 1,
+                }
+                .into());
+            }
+        }
+        if self.glitch_pending > 0 {
+            self.glitch_pending -= 1;
+            self.injected += 1;
+            return Err(io_error("injected transient fault (burst)").into());
+        }
+        if self.glitch_per_1024 > 0
+            && xorshift64_star(&mut self.glitch_rng) % 1024 < self.glitch_per_1024
+        {
+            self.glitch_pending = self.glitch_burst - 1;
+            self.injected += 1;
+            return Err(io_error("injected transient fault").into());
+        }
+        if matches!(op, Op::Read(_) | Op::Free) {
+            return Ok(());
+        }
+        if self.full {
+            self.injected += 1;
+            return Err(StorageError::NoSpace.into());
+        }
+        if expired(&mut self.fill_in) {
+            self.full = true;
+            self.injected += 1;
+            return Err(Fault {
+                err: StorageError::NoSpace,
+                tear: self.fill_tear,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The fault plan shared by a [`FaultStore`] and the test driving it
+/// (see the module docs). Every fault class starts disarmed.
+#[derive(Debug)]
+pub struct FaultController {
+    plan: Mutex<Plan>,
+}
+
+impl FaultController {
+    fn new(seed: u64) -> FaultController {
+        FaultController {
+            plan: Mutex::new(Plan {
+                fail_in: NEVER,
+                crash_in: NEVER,
+                crash_tear: TornWrite::None,
+                dead: false,
+                fill_in: NEVER,
+                fill_tear: TornWrite::None,
+                full: false,
+                // xorshift needs a nonzero state; the stall stream is
+                // offset so it differs from the glitch stream.
+                glitch_rng: seed | 1,
+                glitch_per_1024: 0,
+                glitch_burst: 1,
+                glitch_pending: 0,
+                stall_rng: seed.wrapping_add(0x9E37_79B9) | 1,
+                stall_per_1024: 0,
+                stall_us: 0,
+                corrupt: BTreeSet::new(),
+                injected: 0,
+                stalls: 0,
+                ops: OpCounts::default(),
+            }),
+        }
+    }
+
+    /// The next `ops` operations succeed; every later one fails with an
+    /// I/O error.
+    pub fn fail_after(&self, ops: u64) {
+        self.plan.lock().fail_in = ops;
+    }
+
+    /// Cancels [`FaultController::fail_after`]: operations succeed again.
+    pub fn stop_failing(&self) {
+        self.plan.lock().fail_in = NEVER;
+    }
+
+    /// Schedules a power cut: `ops` more mutations (allocate / write /
+    /// free / sync / ensure) succeed, then the store dies. `torn` picks
+    /// what happens if the dying operation is a page write.
+    pub fn crash_after(&self, ops: u64, torn: TornWrite) {
+        let mut p = self.plan.lock();
+        p.crash_in = ops;
+        p.crash_tear = torn;
+        p.dead = false;
+    }
+
+    /// Cancels any scheduled crash and clears the dead state ("plugs the
+    /// machine back in") — used between crash rounds in sweeps.
+    pub fn revive(&self) {
+        let mut p = self.plan.lock();
+        p.crash_in = NEVER;
+        p.dead = false;
+    }
+
+    /// True once the scheduled crash has fired.
+    pub fn is_dead(&self) -> bool {
+        self.plan.lock().dead
+    }
+
+    /// Schedules a full disk: `ops` more mutations (allocate / write /
+    /// sync / ensure) succeed, then the device is full. With
+    /// `short_write`, the write that fills it lands a half-page prefix
+    /// before failing, the way `write(2)` reports a filling device.
+    pub fn fill_after(&self, ops: u64, short_write: bool) {
+        let mut p = self.plan.lock();
+        p.fill_in = ops;
+        p.fill_tear = if short_write {
+            TornWrite::Partial
+        } else {
+            TornWrite::None
+        };
+        p.full = false;
+    }
+
+    /// Frees up space: mutations succeed again.
+    pub fn drain(&self) {
+        let mut p = self.plan.lock();
+        p.fill_in = NEVER;
+        p.full = false;
+    }
+
+    /// True once the scheduled fill has fired.
+    pub fn is_full(&self) -> bool {
+        self.plan.lock().full
+    }
+
+    /// Arms transient glitches: roughly `per_1024` out of every 1024
+    /// operations start a glitch of `burst` consecutive failures
+    /// (`burst` ≥ 1). Zero disarms.
+    pub fn set_glitch_rate(&self, per_1024: u64, burst: u64) {
+        let mut p = self.plan.lock();
+        p.glitch_burst = burst.max(1);
+        p.glitch_per_1024 = per_1024;
+        if per_1024 == 0 {
+            p.glitch_pending = 0;
+        }
+    }
+
+    /// Arms latency stalls: roughly `per_1024` out of every 1024 reads
+    /// and writes sleep for `micros`. Zero disarms.
+    pub fn set_stall_rate(&self, per_1024: u64, micros: u64) {
+        let mut p = self.plan.lock();
+        p.stall_per_1024 = per_1024;
+        p.stall_us = micros;
+    }
+
+    /// Marks `id` as bit-rotted: reads fail with a checksum mismatch.
+    pub fn mark_corrupt(&self, id: PageId) {
+        self.plan.lock().corrupt.insert(id.0);
+    }
+
+    /// Heals `id` without a write.
+    pub fn clear_corrupt(&self, id: PageId) {
+        self.plan.lock().corrupt.remove(&id.0);
+    }
+
+    /// Pages currently marked corrupt, ascending.
+    pub fn corrupt_pages(&self) -> Vec<PageId> {
+        self.plan
+            .lock()
+            .corrupt
+            .iter()
+            .map(|&p| PageId(p))
+            .collect()
+    }
+
+    /// Ambient faults injected so far: glitches, `NoSpace` errors and
+    /// stalls. A chaos harness subtracts these from its error budget —
+    /// an injected fault surfacing as a typed error is the system
+    /// working. Targeted failures (I/O failure, power cut, rotted pages)
+    /// are not counted.
+    pub fn injected_faults(&self) -> u64 {
+        let p = self.plan.lock();
+        p.injected + p.stalls
+    }
+
+    /// Latency stalls injected so far.
+    pub fn injected_stalls(&self) -> u64 {
+        self.plan.lock().stalls
+    }
+
+    /// Raw operations issued to the store so far.
+    pub fn ops(&self) -> OpCounts {
+        self.plan.lock().ops
+    }
+
+    /// Decides one operation. The stall sleeps with the plan unlocked.
+    fn admit(&self, op: Op) -> Result<(), Fault> {
+        let stall = self.plan.lock().before_stall(op)?;
+        if let Some(stall) = stall {
+            std::thread::sleep(stall);
+        }
+        self.plan.lock().after_stall(op)
+    }
+
+    /// Fails `rollback` and `checkpoint` on a dead store.
+    fn alive(&self) -> StorageResult<()> {
+        if self.is_dead() {
+            return Err(power_failure());
+        }
+        Ok(())
+    }
+}
+
+/// A [`PageStore`] wrapper injecting the faults its [`FaultController`]
+/// schedules; with nothing armed it is transparent.
+///
+/// Stacks under a [`crate::RetryStore`] the way production does, so
+/// short glitch bursts are absorbed by the retry budget; crash-recovery
+/// tests put it under a `WalStore`, kill it mid-operation, then reopen
+/// the file and assert the WAL replay restores every invariant; `ENOSPC`
+/// tests put it over a `WalStore`, so the refusal bites before the log.
+pub struct FaultStore<S: PageStore> {
+    inner: S,
+    controller: Arc<FaultController>,
+}
+
+impl<S: PageStore> FaultStore<S> {
+    /// Wraps `inner` with every random stream seeded by `seed`; returns
+    /// the store (disarmed) and its controller.
+    pub fn new(inner: S, seed: u64) -> (Self, Arc<FaultController>) {
+        let controller = Arc::new(FaultController::new(seed));
+        (
+            FaultStore {
+                inner,
+                controller: Arc::clone(&controller),
+            },
+            controller,
+        )
+    }
+
+    /// Consumes the wrapper, returning the inner store (reopening after
+    /// the "reboot").
+    pub fn into_inner(self) -> S {
+        self.inner
+    }
+}
+
+impl<S: PageStore> PageStore for FaultStore<S> {
     fn page_size(&self) -> usize {
         self.inner.page_size()
     }
@@ -105,23 +470,45 @@ impl<S: PageStore> PageStore for FlakyStore<S> {
     }
 
     fn allocate(&mut self) -> StorageResult<PageId> {
-        self.switch.tick()?;
+        self.controller.admit(Op::Allocate)?;
         self.inner.allocate()
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        self.switch.tick()?;
+        self.controller.admit(Op::Read(id))?;
         self.inner.read(id, buf)
     }
 
     fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        self.switch.tick()?;
-        self.inner.write(id, buf)
+        if let Err(fault) = self.controller.admit(Op::Write) {
+            let torn = match fault.tear {
+                TornWrite::None => None,
+                TornWrite::Partial => {
+                    let mut page = vec![0u8; buf.len()];
+                    self.inner.read(id, &mut page).ok().map(|()| {
+                        page[..buf.len() / 2].copy_from_slice(&buf[..buf.len() / 2]);
+                        page
+                    })
+                }
+                TornWrite::Zeroed => Some(vec![0u8; buf.len()]),
+            };
+            if let Some(page) = torn {
+                let _ = self.inner.write(id, &page);
+            }
+            return Err(fault.err);
+        }
+        self.inner.write(id, buf)?;
+        // A full-page write restamps the page, healing the rot — the
+        // same semantics a checksummed file store has.
+        self.controller.clear_corrupt(id);
+        Ok(())
     }
 
     fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.switch.tick()?;
-        self.inner.free(id)
+        self.controller.admit(Op::Free)?;
+        self.inner.free(id)?;
+        self.controller.clear_corrupt(id);
+        Ok(())
     }
 
     fn is_live(&self, id: PageId) -> bool {
@@ -129,7 +516,7 @@ impl<S: PageStore> PageStore for FlakyStore<S> {
     }
 
     fn sync(&mut self) -> StorageResult<()> {
-        self.switch.tick()?;
+        self.controller.admit(Op::Sync)?;
         self.inner.sync()
     }
 
@@ -138,7 +525,7 @@ impl<S: PageStore> PageStore for FlakyStore<S> {
     }
 
     fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        self.switch.tick()?;
+        self.controller.admit(Op::Allocate)?;
         self.inner.ensure_allocated(id)
     }
 
@@ -147,10 +534,12 @@ impl<S: PageStore> PageStore for FlakyStore<S> {
     }
 
     fn rollback(&mut self) -> StorageResult<()> {
+        self.controller.alive()?;
         self.inner.rollback()
     }
 
     fn checkpoint(&mut self) -> StorageResult<()> {
+        self.controller.alive()?;
         self.inner.checkpoint()
     }
 
@@ -162,14 +551,24 @@ impl<S: PageStore> PageStore for FlakyStore<S> {
         self.inner.wal_info()
     }
 
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
+    fn page_versions(&self) -> Option<Arc<crate::snapshot::PageVersions>> {
         self.inner.page_versions()
     }
 
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
+    fn enable_snapshots(&mut self) -> StorageResult<Option<Arc<crate::snapshot::PageVersions>>> {
         self.inner.enable_snapshots()
+    }
+
+    fn wal_retention(&self) -> Option<Arc<crate::WalRetention>> {
+        self.inner.wal_retention()
+    }
+
+    fn repl_feed(&mut self, after: u64) -> StorageResult<crate::ReplFeed> {
+        self.inner.repl_feed(after)
+    }
+
+    fn repl_image(&mut self) -> StorageResult<crate::ReplImageState> {
+        self.inner.repl_image()
     }
 }
 
@@ -212,1084 +611,19 @@ impl SweepRng {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Crash simulation
-// ---------------------------------------------------------------------------
-
-/// How the final page write behaves when a [`CrashStore`] dies on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TornWrite {
-    /// The write never reaches the page (clean power cut between writes).
-    None,
-    /// Only the first half of the buffer lands; the rest of the page
-    /// keeps its old contents (torn sector write).
-    Partial,
-    /// The page is zero-filled (drive wrote garbage/zeros on power loss).
-    Zeroed,
-}
-
-const TORN_NONE: u8 = 0;
-const TORN_PARTIAL: u8 = 1;
-const TORN_ZEROED: u8 = 2;
-
-/// Shared controller scheduling when a [`CrashStore`] "loses power".
-///
-/// Arm it with [`CrashController::crash_after`]: the next `ops`
-/// *mutations* (allocate / write / free / sync / ensure) succeed, then
-/// the store dies — optionally tearing the page write it dies on — and
-/// every subsequent operation fails until [`CrashController::revive`].
-#[derive(Debug)]
-pub struct CrashController {
-    /// Mutations remaining before the crash (u64::MAX = disarmed).
-    remaining: AtomicU64,
-    dead: AtomicBool,
-    torn: AtomicU8,
-}
-
-impl CrashController {
-    /// A controller that never fires.
-    pub fn disarmed() -> Arc<CrashController> {
-        Arc::new(CrashController {
-            remaining: AtomicU64::new(u64::MAX),
-            dead: AtomicBool::new(false),
-            torn: AtomicU8::new(TORN_NONE),
-        })
-    }
-
-    /// Schedules the crash: `ops` more mutations succeed, then the store
-    /// dies. `torn` picks what happens if the dying operation is a page
-    /// write.
-    pub fn crash_after(&self, ops: u64, torn: TornWrite) {
-        self.torn.store(
-            match torn {
-                TornWrite::None => TORN_NONE,
-                TornWrite::Partial => TORN_PARTIAL,
-                TornWrite::Zeroed => TORN_ZEROED,
-            },
-            Ordering::SeqCst,
-        );
-        self.dead.store(false, Ordering::SeqCst);
-        self.remaining.store(ops, Ordering::SeqCst);
-    }
-
-    /// Cancels any scheduled crash and clears the dead state ("plugs the
-    /// machine back in") — used between crash rounds in sweeps.
-    pub fn revive(&self) {
-        self.remaining.store(u64::MAX, Ordering::SeqCst);
-        self.dead.store(false, Ordering::SeqCst);
-    }
-
-    /// True once the scheduled crash has fired.
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::SeqCst)
-    }
-
-    fn power_failure() -> StorageError {
-        StorageError::Io(std::io::Error::other("simulated power failure"))
-    }
-
-    /// Ticks one mutation. `Ok(false)` = proceed normally, `Ok(true)` =
-    /// this is the dying operation (caller applies torn behaviour, then
-    /// fails), `Err` = already dead.
-    fn tick(&self) -> StorageResult<bool> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(Self::power_failure());
-        }
-        let prev = self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                if v == u64::MAX {
-                    None
-                } else {
-                    Some(v.saturating_sub(1))
-                }
-            });
-        match prev {
-            Err(_) => Ok(false), // disarmed
-            Ok(0) => {
-                self.dead.store(true, Ordering::SeqCst);
-                Ok(true)
-            }
-            Ok(_) => Ok(false),
-        }
-    }
-}
-
-/// A [`PageStore`] wrapper simulating a power cut at a scheduled
-/// mutation index (see [`CrashController`]).
-///
-/// Unlike [`FlakyStore`] — which models a transient fault the caller may
-/// retry through — a `CrashStore` stays dead, and the write it dies on
-/// can be *torn*: half-applied or zero-filled, the way a real disk page
-/// ends up when power fails mid-sector. Crash-recovery tests wrap a
-/// `FilePageStore` in one, kill it mid-operation, then reopen the file
-/// and assert the WAL replay restores every invariant.
-pub struct CrashStore<S: PageStore> {
-    inner: S,
-    controller: Arc<CrashController>,
-}
-
-impl<S: PageStore> CrashStore<S> {
-    /// Wraps `inner`; returns the store and its crash controller.
-    pub fn new(inner: S) -> (Self, Arc<CrashController>) {
-        let controller = CrashController::disarmed();
-        (
-            CrashStore {
-                inner,
-                controller: Arc::clone(&controller),
-            },
-            controller,
-        )
-    }
-
-    /// Consumes the wrapper, returning the inner store (reopening after
-    /// the "reboot").
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PageStore> PageStore for CrashStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        if self.controller.tick()? {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        if self.controller.is_dead() {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        if self.controller.tick()? {
-            // The dying write: tear it according to the schedule.
-            match self.controller.torn.load(Ordering::SeqCst) {
-                TORN_PARTIAL => {
-                    let mut torn = vec![0u8; buf.len()];
-                    if self.inner.read(id, &mut torn).is_ok() {
-                        torn[..buf.len() / 2].copy_from_slice(&buf[..buf.len() / 2]);
-                        let _ = self.inner.write(id, &torn);
-                    }
-                }
-                TORN_ZEROED => {
-                    let _ = self.inner.write(id, &vec![0u8; buf.len()]);
-                }
-                _ => {}
-            }
-            return Err(CrashController::power_failure());
-        }
-        self.inner.write(id, buf)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.free(id)
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        if self.controller.is_dead() {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        if self.controller.is_dead() {
-            return Err(CrashController::power_failure());
-        }
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Seeded corruption injection
-// ---------------------------------------------------------------------------
-
-/// Shared controller for a [`CorruptStore`]: a seeded, deterministic
-/// fault schedule plus a set of "rotted" pages.
-///
-/// Two fault classes are modelled:
-///
-/// * **Transient glitches** — with [`CorruptionController::set_fault_rate`]
-///   armed, each store operation draws from a seeded xorshift stream;
-///   a hit fails `burst` consecutive attempts with an I/O error and then
-///   passes, so a `RetryStore` with `max_attempts > burst` absorbs every
-///   glitch while a bare store surfaces it.
-/// * **Persistent page corruption** —
-///   [`CorruptionController::mark_corrupt`] makes every read of that page
-///   fail with [`StorageError::ChecksumMismatch`] (the error a
-///   checksummed file store would produce), until a full-page write
-///   "restamps" it or [`CorruptionController::clear_corrupt`] heals it.
-///
-/// Everything is derived from the constructor seed; no wall clock or OS
-/// randomness is consulted, so a failing schedule replays exactly.
-pub struct CorruptionController {
-    /// xorshift64* state.
-    rng: Mutex<u64>,
-    /// Per-1024 chance that an operation starts a glitch (0 = off).
-    fault_rate: AtomicU64,
-    /// Consecutive failures per glitch.
-    burst: AtomicU64,
-    /// Failures still owed from the glitch in progress.
-    pending: AtomicU64,
-    /// Pages that fail checksum verification on read.
-    corrupt: Mutex<BTreeSet<u32>>,
-    /// Transient faults injected so far.
-    injected: AtomicU64,
-}
-
-impl std::fmt::Debug for CorruptionController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CorruptionController")
-            .field("fault_rate", &self.fault_rate.load(Ordering::SeqCst))
-            .field("burst", &self.burst.load(Ordering::SeqCst))
-            .field("corrupt", &self.corrupt_pages())
-            .field("injected", &self.injected.load(Ordering::SeqCst))
-            .finish_non_exhaustive()
-    }
-}
-
-impl CorruptionController {
-    fn new(seed: u64) -> Arc<CorruptionController> {
-        Arc::new(CorruptionController {
-            // xorshift needs a nonzero state.
-            rng: Mutex::new(seed | 1),
-            fault_rate: AtomicU64::new(0),
-            burst: AtomicU64::new(1),
-            pending: AtomicU64::new(0),
-            corrupt: Mutex::new(BTreeSet::new()),
-            injected: AtomicU64::new(0),
-        })
-    }
-
-    /// Arms transient glitches: roughly `per_1024` out of every 1024
-    /// operations start a glitch of `burst` consecutive failures
-    /// (`burst` ≥ 1). Zero disarms.
-    pub fn set_fault_rate(&self, per_1024: u64, burst: u64) {
-        self.burst.store(burst.max(1), Ordering::SeqCst);
-        self.fault_rate.store(per_1024, Ordering::SeqCst);
-        if per_1024 == 0 {
-            self.pending.store(0, Ordering::SeqCst);
-        }
-    }
-
-    /// Marks `id` as bit-rotted: reads fail with a checksum mismatch.
-    pub fn mark_corrupt(&self, id: PageId) {
-        self.corrupt.lock().insert(id.0);
-    }
-
-    /// Heals `id` without a write.
-    pub fn clear_corrupt(&self, id: PageId) {
-        self.corrupt.lock().remove(&id.0);
-    }
-
-    /// Pages currently marked corrupt, ascending.
-    pub fn corrupt_pages(&self) -> Vec<PageId> {
-        self.corrupt.lock().iter().map(|&p| PageId(p)).collect()
-    }
-
-    /// Transient faults injected so far.
-    pub fn injected_faults(&self) -> u64 {
-        self.injected.load(Ordering::SeqCst)
-    }
-
-    fn next_rng(&self) -> u64 {
-        let mut state = self.rng.lock();
-        let mut x = *state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        *state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// One operation's transient-fault draw.
-    fn glitch(&self) -> StorageResult<()> {
-        if self
-            .pending
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-            .is_ok()
-        {
-            self.injected.fetch_add(1, Ordering::SeqCst);
-            return Err(StorageError::Io(std::io::Error::other(
-                "injected transient fault (burst)",
-            )));
-        }
-        let rate = self.fault_rate.load(Ordering::SeqCst);
-        if rate > 0 && self.next_rng() % 1024 < rate {
-            self.pending
-                .store(self.burst.load(Ordering::SeqCst) - 1, Ordering::SeqCst);
-            self.injected.fetch_add(1, Ordering::SeqCst);
-            return Err(StorageError::Io(std::io::Error::other(
-                "injected transient fault",
-            )));
-        }
-        Ok(())
-    }
-
-    fn checksum_error(id: PageId) -> StorageError {
-        // Deterministic fabricated checksums: what a real v2 file would
-        // report, minus the actual bit pattern.
-        let stored = 0xBAD0_0000 | id.0;
-        StorageError::ChecksumMismatch {
-            page: id,
-            stored,
-            computed: stored ^ 1,
-        }
-    }
-}
-
-/// A [`PageStore`] wrapper injecting seeded transient faults and
-/// persistent per-page corruption (see [`CorruptionController`]).
-///
-/// Stacks under a [`crate::RetryStore`] in fault-sweep tests: transient
-/// glitches are absorbed by the retry budget, persistent corruption
-/// surfaces as [`StorageError::ChecksumMismatch`] for the scrub /
-/// quarantine machinery above.
-pub struct CorruptStore<S: PageStore> {
-    inner: S,
-    controller: Arc<CorruptionController>,
-}
-
-impl<S: PageStore> CorruptStore<S> {
-    /// Wraps `inner` with a fault schedule seeded by `seed`; returns the
-    /// store and its controller.
-    pub fn new(inner: S, seed: u64) -> (Self, Arc<CorruptionController>) {
-        let controller = CorruptionController::new(seed);
-        (
-            CorruptStore {
-                inner,
-                controller: Arc::clone(&controller),
-            },
-            controller,
-        )
-    }
-
-    /// Consumes the wrapper, returning the inner store.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PageStore> PageStore for CorruptStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        self.controller.glitch()?;
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        if self.controller.corrupt.lock().contains(&id.0) {
-            return Err(CorruptionController::checksum_error(id));
-        }
-        self.controller.glitch()?;
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        self.controller.glitch()?;
-        self.inner.write(id, buf)?;
-        // A full-page write restamps the page, healing the rot — the
-        // same semantics a checksummed file store has.
-        self.controller.corrupt.lock().remove(&id.0);
-        Ok(())
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.controller.glitch()?;
-        self.inner.free(id)?;
-        self.controller.corrupt.lock().remove(&id.0);
-        Ok(())
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        self.controller.glitch()?;
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        self.controller.glitch()?;
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Full-disk (ENOSPC) simulation
-// ---------------------------------------------------------------------------
-
-/// Shared controller scheduling when a [`FullDiskStore`] runs out of
-/// space.
-///
-/// Arm it with [`DiskFullController::fill_after`]: the next `ops`
-/// *mutations* (allocate / write / free / sync / ensure) succeed, then
-/// the device is "full" — the failing operation and every later mutation
-/// surface [`StorageError::NoSpace`] until [`DiskFullController::drain`].
-/// Reads keep working throughout: a full disk still serves what it holds.
-#[derive(Debug)]
-pub struct DiskFullController {
-    /// Mutations remaining before the disk fills (u64::MAX = disarmed).
-    remaining: AtomicU64,
-    full: AtomicBool,
-    /// When set, the write the disk fills on lands a half-page prefix on
-    /// the inner store before failing (a short write, the way `write(2)`
-    /// reports a filling device), instead of failing cleanly.
-    short_write: AtomicBool,
-    /// NoSpace errors surfaced so far.
-    injected: AtomicU64,
-}
-
-impl DiskFullController {
-    /// A controller that never fires.
-    pub fn disarmed() -> Arc<DiskFullController> {
-        Arc::new(DiskFullController {
-            remaining: AtomicU64::new(u64::MAX),
-            full: AtomicBool::new(false),
-            short_write: AtomicBool::new(false),
-            injected: AtomicU64::new(0),
-        })
-    }
-
-    /// Schedules the fill: `ops` more mutations succeed, then the device
-    /// is full. With `short_write`, a page write that hits the limit
-    /// half-lands before failing.
-    pub fn fill_after(&self, ops: u64, short_write: bool) {
-        self.short_write.store(short_write, Ordering::SeqCst);
-        self.full.store(false, Ordering::SeqCst);
-        self.remaining.store(ops, Ordering::SeqCst);
-    }
-
-    /// Frees up space: mutations succeed again.
-    pub fn drain(&self) {
-        self.remaining.store(u64::MAX, Ordering::SeqCst);
-        self.full.store(false, Ordering::SeqCst);
-    }
-
-    /// True once the scheduled fill has fired.
-    pub fn is_full(&self) -> bool {
-        self.full.load(Ordering::SeqCst)
-    }
-
-    /// NoSpace errors injected so far.
-    pub fn injected_faults(&self) -> u64 {
-        self.injected.load(Ordering::SeqCst)
-    }
-
-    fn no_space(&self) -> StorageError {
-        self.injected.fetch_add(1, Ordering::SeqCst);
-        StorageError::NoSpace
-    }
-
-    /// Ticks one mutation. `Ok(false)` = proceed, `Ok(true)` = this is
-    /// the filling operation (caller applies short-write behaviour, then
-    /// fails), `Err(NoSpace)` = already full.
-    fn tick(&self) -> StorageResult<bool> {
-        if self.full.load(Ordering::SeqCst) {
-            return Err(self.no_space());
-        }
-        let prev = self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                if v == u64::MAX {
-                    None
-                } else {
-                    Some(v.saturating_sub(1))
-                }
-            });
-        match prev {
-            Err(_) => Ok(false), // disarmed
-            Ok(0) => {
-                self.full.store(true, Ordering::SeqCst);
-                Ok(true)
-            }
-            Ok(_) => Ok(false),
-        }
-    }
-}
-
-/// A [`PageStore`] wrapper simulating a device that fills up at a
-/// scheduled mutation index (see [`DiskFullController`]).
-///
-/// Unlike [`CrashStore`], the process survives: mutations fail with the
-/// typed [`StorageError::NoSpace`], reads keep succeeding, and draining
-/// the controller models an operator freeing space. Graceful-abort tests
-/// wrap a store in one and assert the in-flight operation aborts without
-/// corrupting committed state.
-pub struct FullDiskStore<S: PageStore> {
-    inner: S,
-    controller: Arc<DiskFullController>,
-}
-
-impl<S: PageStore> FullDiskStore<S> {
-    /// Wraps `inner`; returns the store and its controller.
-    pub fn new(inner: S) -> (Self, Arc<DiskFullController>) {
-        let controller = DiskFullController::disarmed();
-        (
-            FullDiskStore {
-                inner,
-                controller: Arc::clone(&controller),
-            },
-            controller,
-        )
-    }
-
-    /// Consumes the wrapper, returning the inner store.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PageStore> PageStore for FullDiskStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        if self.controller.tick()? {
-            return Err(self.controller.no_space());
-        }
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        self.inner.read(id, buf) // full disks still read
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        if self.controller.tick()? {
-            if self.controller.short_write.load(Ordering::SeqCst) {
-                // Short write: a half-page prefix lands before ENOSPC.
-                let mut partial = vec![0u8; buf.len()];
-                if self.inner.read(id, &mut partial).is_ok() {
-                    partial[..buf.len() / 2].copy_from_slice(&buf[..buf.len() / 2]);
-                    let _ = self.inner.write(id, &partial);
-                }
-            }
-            return Err(self.controller.no_space());
-        }
-        self.inner.write(id, buf)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        // Freeing *releases* space — it must keep working on a full
-        // device (and rollback relies on it to return pass-through
-        // allocations), so it neither ticks nor blocks.
-        self.inner.free(id)
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(self.controller.no_space());
-        }
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        if self.controller.tick()? {
-            return Err(self.controller.no_space());
-        }
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        // Rollback frees space; never blocked by the full state.
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Composed chaos injection
-// ---------------------------------------------------------------------------
-
-/// Fault rates for a [`ChaosStore`], all derived from one seed.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Seed for every stream (glitch schedule, latency schedule).
-    pub seed: u64,
-    /// Per-1024 chance an operation starts a transient-I/O glitch.
-    pub glitch_per_1024: u64,
-    /// Consecutive failures per glitch (≥ 1).
-    pub glitch_burst: u64,
-    /// Per-1024 chance a read/write stalls for `latency_us`.
-    pub latency_per_1024: u64,
-    /// Stall duration in microseconds (real `thread::sleep`).
-    pub latency_us: u64,
-}
-
-impl Default for ChaosConfig {
-    /// Moderate chaos: ~1% glitches in bursts of 2, ~1% stalls of 2 ms.
-    fn default() -> Self {
-        ChaosConfig {
-            seed: 42,
-            glitch_per_1024: 12,
-            glitch_burst: 2,
-            latency_per_1024: 8,
-            latency_us: 2_000,
-        }
-    }
-}
-
-/// Controller for a [`ChaosStore`]: arms/disarms every composed fault
-/// class at once and exposes the per-class controllers for targeted
-/// injection (page corruption, disk-full pulses).
-pub struct ChaosController {
-    /// Transient glitches and persistent page corruption.
-    pub corruption: Arc<CorruptionController>,
-    /// ENOSPC scheduling for mutations.
-    pub disk: Arc<DiskFullController>,
-    config: ChaosConfig,
-    latency_armed: AtomicBool,
-    latency_rng: Mutex<u64>,
-    latency_injected: AtomicU64,
-}
-
-impl std::fmt::Debug for ChaosController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosController")
-            .field("corruption", &self.corruption)
-            .field("latency_armed", &self.latency_armed.load(Ordering::SeqCst))
-            .field(
-                "latency_injected",
-                &self.latency_injected.load(Ordering::SeqCst),
-            )
-            .finish_non_exhaustive()
-    }
-}
-
-impl ChaosController {
-    /// Arms glitches and latency stalls at the configured rates.
-    /// (Disk-full pulses and page corruption are targeted, not ambient:
-    /// schedule them through [`ChaosController::disk`] and
-    /// [`CorruptionController::mark_corrupt`].)
-    pub fn arm(&self) {
-        self.corruption
-            .set_fault_rate(self.config.glitch_per_1024, self.config.glitch_burst);
-        self.latency_armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Disarms glitches and latency stalls (targeted faults persist
-    /// until individually cleared).
-    pub fn disarm(&self) {
-        self.corruption.set_fault_rate(0, 1);
-        self.latency_armed.store(false, Ordering::SeqCst);
-    }
-
-    /// Total faults injected across classes (glitches + ENOSPC +
-    /// stalls) — the chaos harness subtracts these from its error
-    /// budget: an injected fault surfacing as a typed error is the
-    /// system working, not an SLO violation.
-    pub fn injected_faults(&self) -> u64 {
-        self.corruption.injected_faults()
-            + self.disk.injected_faults()
-            + self.latency_injected.load(Ordering::SeqCst)
-    }
-
-    /// Latency stalls injected so far.
-    pub fn injected_stalls(&self) -> u64 {
-        self.latency_injected.load(Ordering::SeqCst)
-    }
-
-    /// One operation's latency draw: seeded, so *which* operations stall
-    /// is deterministic (the stall itself is a real sleep).
-    fn maybe_stall(&self) {
-        if !self.latency_armed.load(Ordering::SeqCst) || self.config.latency_per_1024 == 0 {
-            return;
-        }
-        let draw = {
-            let mut state = self.latency_rng.lock();
-            let mut x = *state;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            *state = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D) % 1024
-        };
-        if draw < self.config.latency_per_1024 {
-            self.latency_injected.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_micros(self.config.latency_us));
-        }
-    }
-}
-
-/// The kitchen-sink fault injector for chaos harnesses: composes
-/// [`CorruptStore`] (seeded transient glitches + persistent per-page
-/// corruption) over [`FullDiskStore`] (scheduled `ENOSPC`) and adds
-/// seeded latency stalls on reads and writes.
-///
-/// Built disarmed — wrap a store, build the database cleanly, then
-/// [`ChaosController::arm`] before opening the traffic valve. Stacks
-/// under a [`crate::RetryStore`] the way production does, so short
-/// glitch bursts are absorbed by the retry budget and only over-budget
-/// faults surface to the access method.
-pub struct ChaosStore<S: PageStore> {
-    inner: CorruptStore<FullDiskStore<S>>,
-    controller: Arc<ChaosController>,
-}
-
-impl<S: PageStore> ChaosStore<S> {
-    /// Wraps `inner` with `config`'s fault schedule; returns the store
-    /// (disarmed) and its controller.
-    pub fn new(inner: S, config: ChaosConfig) -> (Self, Arc<ChaosController>) {
-        let (full, disk) = FullDiskStore::new(inner);
-        let (corrupt, corruption) = CorruptStore::new(full, config.seed);
-        let controller = Arc::new(ChaosController {
-            corruption,
-            disk,
-            config,
-            latency_armed: AtomicBool::new(false),
-            // xorshift needs a nonzero state; offset so the latency
-            // stream differs from the glitch stream under one seed.
-            latency_rng: Mutex::new(config.seed.wrapping_add(0x9E37_79B9) | 1),
-            latency_injected: AtomicU64::new(0),
-        });
-        (
-            ChaosStore {
-                inner: corrupt,
-                controller: Arc::clone(&controller),
-            },
-            controller,
-        )
-    }
-}
-
-impl<S: PageStore> PageStore for ChaosStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        self.controller.maybe_stall();
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        self.controller.maybe_stall();
-        self.inner.write(id, buf)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.inner.free(id)
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
-/// Raw per-operation counters of a [`CountingStore`].
-#[derive(Debug, Default)]
-pub struct StoreCounters {
-    /// Raw page reads.
-    pub reads: AtomicU64,
-    /// Raw page writes.
-    pub writes: AtomicU64,
-    /// Page allocations.
-    pub allocs: AtomicU64,
-    /// Page frees.
-    pub frees: AtomicU64,
-    /// Sync (commit-point) calls — makes commit frequency observable in
-    /// experiments comparing WAL and non-WAL configurations.
-    pub syncs: AtomicU64,
-}
-
-/// A [`PageStore`] wrapper that counts raw store operations (below the
-/// buffer pool, unlike [`crate::IoStats`] which counts pool traffic).
-pub struct CountingStore<S: PageStore> {
-    inner: S,
-    counters: Arc<StoreCounters>,
-}
-
-impl<S: PageStore> CountingStore<S> {
-    /// Wraps `inner`; returns the store and its counters.
-    pub fn new(inner: S) -> (Self, Arc<StoreCounters>) {
-        let counters = Arc::new(StoreCounters::default());
-        (
-            CountingStore {
-                inner,
-                counters: Arc::clone(&counters),
-            },
-            counters,
-        )
-    }
-}
-
-impl<S: PageStore> PageStore for CountingStore<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> StorageResult<PageId> {
-        self.counters.allocs.fetch_add(1, Ordering::Relaxed);
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        self.counters.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> StorageResult<()> {
-        self.counters.writes.fetch_add(1, Ordering::Relaxed);
-        self.inner.write(id, buf)
-    }
-
-    fn free(&mut self, id: PageId) -> StorageResult<()> {
-        self.counters.frees.fetch_add(1, Ordering::Relaxed);
-        self.inner.free(id)
-    }
-
-    fn is_live(&self, id: PageId) -> bool {
-        self.inner.is_live(id)
-    }
-
-    fn sync(&mut self) -> StorageResult<()> {
-        self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-        self.inner.sync()
-    }
-
-    fn live_pages(&self) -> Vec<PageId> {
-        self.inner.live_pages()
-    }
-
-    fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
-        self.counters.allocs.fetch_add(1, Ordering::Relaxed);
-        self.inner.ensure_allocated(id)
-    }
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::MemPageStore;
     use crate::BufferPool;
 
+    fn mem() -> MemPageStore {
+        MemPageStore::new(64).unwrap()
+    }
+
     #[test]
-    fn disarmed_flaky_store_is_transparent() {
-        let (mut s, _switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+    fn disarmed_fault_store_is_transparent() {
+        let (mut s, _ctl) = FaultStore::new(mem(), 0);
         let p = s.allocate().unwrap();
         s.write(p, &[1u8; 64]).unwrap();
         let mut buf = [0u8; 64];
@@ -1298,69 +632,70 @@ mod tests {
     }
 
     #[test]
-    fn armed_switch_fails_after_budget() {
-        let (mut s, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+    fn io_failures_start_after_budget() {
+        let (mut s, ctl) = FaultStore::new(mem(), 0);
         let p = s.allocate().unwrap();
-        switch.arm_after(2);
+        ctl.fail_after(2);
         let mut buf = [0u8; 64];
         s.read(p, &mut buf).unwrap(); // 1
         s.read(p, &mut buf).unwrap(); // 2
         assert!(matches!(s.read(p, &mut buf), Err(StorageError::Io(_))));
         assert!(matches!(s.write(p, &buf), Err(StorageError::Io(_))));
-        switch.disarm();
+        ctl.stop_failing();
         s.read(p, &mut buf).unwrap();
     }
 
     #[test]
     fn buffer_pool_propagates_injected_errors() {
-        let (s, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+        let (s, ctl) = FaultStore::new(mem(), 0);
         let pool = BufferPool::new(s, 2);
         let p = pool.allocate().unwrap();
         pool.with_page_mut(p, |b| b.fill(7)).unwrap();
         pool.clear().unwrap();
-        switch.arm_after(0);
+        ctl.fail_after(0);
         assert!(pool.with_page(p, |_| ()).is_err());
-        switch.disarm();
+        ctl.stop_failing();
         let ok = pool.with_page(p, |b| b[0]).unwrap();
         assert_eq!(ok, 7);
     }
 
     #[test]
-    fn counting_store_counts() {
-        let (s, counters) = CountingStore::new(MemPageStore::new(64).unwrap());
+    fn op_counters_count_raw_store_traffic() {
+        let (s, ctl) = FaultStore::new(mem(), 0);
         let pool = BufferPool::new(s, 1);
         let a = pool.allocate().unwrap();
         let b = pool.allocate().unwrap();
         pool.with_page_mut(a, |x| x.fill(1)).unwrap();
         pool.with_page_mut(b, |x| x.fill(2)).unwrap(); // evicts dirty a
         pool.flush_all().unwrap();
-        assert_eq!(counters.allocs.load(Ordering::Relaxed), 2);
-        assert_eq!(counters.reads.load(Ordering::Relaxed), 2);
-        assert!(counters.writes.load(Ordering::Relaxed) >= 2);
-        assert_eq!(counters.syncs.load(Ordering::Relaxed), 1);
+        let ops = ctl.ops();
+        assert_eq!(ops.allocs, 2);
+        assert_eq!(ops.reads, 2);
+        assert!(ops.writes >= 2);
+        assert_eq!(ops.syncs, 1);
     }
 
     #[test]
-    fn counting_store_counts_syncs_directly() {
-        let (mut s, counters) = CountingStore::new(MemPageStore::new(64).unwrap());
+    fn op_counters_count_syncs_directly() {
+        let (mut s, ctl) = FaultStore::new(mem(), 0);
         s.sync().unwrap();
         s.sync().unwrap();
-        assert_eq!(counters.syncs.load(Ordering::Relaxed), 2);
+        assert_eq!(ctl.ops().syncs, 2);
     }
 
     #[test]
-    fn flaky_store_injects_failures_on_sync() {
-        let (mut s, switch) = FlakyStore::new(MemPageStore::new(64).unwrap());
+    fn io_failures_strike_sync() {
+        let (mut s, ctl) = FaultStore::new(mem(), 0);
         s.sync().unwrap();
-        switch.arm_after(0);
+        ctl.fail_after(0);
         assert!(matches!(s.sync(), Err(StorageError::Io(_))));
-        switch.disarm();
+        ctl.stop_failing();
         s.sync().unwrap();
     }
 
     #[test]
-    fn corrupt_store_marked_pages_fail_checksum_until_rewritten() {
-        let (mut s, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), 42);
+    fn marked_pages_fail_checksum_until_rewritten() {
+        let (mut s, ctl) = FaultStore::new(mem(), 42);
         let a = s.allocate().unwrap();
         let b = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
@@ -1381,13 +716,13 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_store_glitches_are_seeded_and_bursty() {
+    fn glitches_are_seeded_and_bursty() {
         // Same seed ⇒ same fault schedule.
         let run = |seed: u64| {
-            let (mut s, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), seed);
+            let (mut s, ctl) = FaultStore::new(mem(), seed);
             let p = s.allocate().unwrap();
             s.write(p, &[9u8; 64]).unwrap();
-            ctl.set_fault_rate(512, 2); // ~half the ops glitch, 2 fails each
+            ctl.set_glitch_rate(512, 2); // ~half the ops glitch, 2 fails each
             let mut buf = [0u8; 64];
             let outcomes: Vec<bool> = (0..32).map(|_| s.read(p, &mut buf).is_ok()).collect();
             (outcomes, ctl.injected_faults())
@@ -1404,17 +739,8 @@ mod tests {
     }
 
     #[test]
-    fn chaos_store_is_quiet_until_armed_and_composes_fault_classes() {
-        let (mut s, ctl) = ChaosStore::new(
-            MemPageStore::new(64).unwrap(),
-            ChaosConfig {
-                seed: 7,
-                glitch_per_1024: 1024, // every op glitches once armed
-                glitch_burst: 1,
-                latency_per_1024: 0, // keep the test sleep-free
-                latency_us: 0,
-            },
-        );
+    fn fault_classes_compose_and_disarm_independently() {
+        let (mut s, ctl) = FaultStore::new(mem(), 7);
         // Disarmed: clean build phase.
         let p = s.allocate().unwrap();
         s.write(p, &[3u8; 64]).unwrap();
@@ -1423,15 +749,15 @@ mod tests {
         assert_eq!(ctl.injected_faults(), 0);
 
         // Armed: glitches fire (rate 1024/1024 = always).
-        ctl.arm();
+        ctl.set_glitch_rate(1024, 1);
         assert!(matches!(s.read(p, &mut buf), Err(StorageError::Io(_))));
         assert!(ctl.injected_faults() > 0);
-        ctl.disarm();
+        ctl.set_glitch_rate(0, 1);
         s.read(p, &mut buf).unwrap();
         assert_eq!(buf, [3u8; 64]);
 
         // Targeted corruption survives disarm and heals on write.
-        ctl.corruption.mark_corrupt(p);
+        ctl.mark_corrupt(p);
         assert!(matches!(
             s.read(p, &mut buf),
             Err(StorageError::ChecksumMismatch { .. })
@@ -1441,31 +767,22 @@ mod tests {
 
         // Disk-full pulses surface the typed NoSpace on mutations while
         // reads keep working; draining recovers.
-        ctl.disk.fill_after(0, false);
+        ctl.fill_after(0, false);
         assert!(matches!(s.write(p, &[5u8; 64]), Err(StorageError::NoSpace)));
         s.read(p, &mut buf).unwrap();
-        ctl.disk.drain();
+        ctl.drain();
         s.write(p, &[6u8; 64]).unwrap();
     }
 
     #[test]
-    fn chaos_latency_schedule_is_seed_deterministic() {
+    fn stall_schedule_is_seed_deterministic() {
         let run = |seed: u64| {
-            let (s, ctl) = ChaosStore::new(
-                MemPageStore::new(64).unwrap(),
-                ChaosConfig {
-                    seed,
-                    glitch_per_1024: 0,
-                    glitch_burst: 1,
-                    latency_per_1024: 256, // ~25% of reads stall…
-                    latency_us: 0,         // …for zero time: schedule only
-                },
-            );
+            let (mut s, ctl) = FaultStore::new(mem(), seed);
             // Build before arming.
-            let mut s = s;
             let p = s.allocate().unwrap();
             s.write(p, &[1u8; 64]).unwrap();
-            ctl.arm();
+            // ~25% of reads stall, for zero time: schedule only.
+            ctl.set_stall_rate(256, 0);
             let mut buf = [0u8; 64];
             for _ in 0..64 {
                 s.read(p, &mut buf).unwrap();
@@ -1477,9 +794,9 @@ mod tests {
     }
 
     #[test]
-    fn retry_store_absorbs_corrupt_store_bursts() {
+    fn retry_store_absorbs_glitch_bursts() {
         use crate::retry::{RetryPolicy, RetryStore};
-        let (s, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), 99);
+        let (s, ctl) = FaultStore::new(mem(), 99);
         let mut s = RetryStore::new(
             s,
             RetryPolicy {
@@ -1494,7 +811,7 @@ mod tests {
         );
         let p = s.allocate().unwrap();
         s.write(p, &[5u8; 64]).unwrap();
-        ctl.set_fault_rate(128, 2);
+        ctl.set_glitch_rate(128, 2);
         let mut buf = [0u8; 64];
         for _ in 0..64 {
             s.read(p, &mut buf).unwrap();
@@ -1521,8 +838,8 @@ mod tests {
     }
 
     #[test]
-    fn full_disk_store_fails_mutations_with_no_space_until_drained() {
-        let (mut s, ctl) = FullDiskStore::new(MemPageStore::new(64).unwrap());
+    fn full_disk_fails_mutations_with_no_space_until_drained() {
+        let (mut s, ctl) = FaultStore::new(mem(), 0);
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
         ctl.fill_after(1, false);
@@ -1544,7 +861,7 @@ mod tests {
 
     #[test]
     fn full_disk_short_write_lands_a_prefix() {
-        let (mut s, ctl) = FullDiskStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, ctl) = FaultStore::new(mem(), 0);
         let a = s.allocate().unwrap();
         s.write(a, &[0xaa; 64]).unwrap();
         ctl.fill_after(0, true);
@@ -1561,12 +878,15 @@ mod tests {
 
     #[test]
     fn wrappers_forward_wal_hooks() {
-        use crate::durable::WalStore;
+        use crate::durable::{ReplFeed, WalStore};
+        use crate::retry::{RetryPolicy, RetryStore};
         let mut p = std::env::temp_dir();
         p.push(format!("ccam-testing-hooks-{}.wal", std::process::id()));
-        let wal = WalStore::create(MemPageStore::new(64).unwrap(), &p).unwrap();
-        // A fault wrapper above a WalStore still reports and controls it.
-        let (mut s, _ctl) = FullDiskStore::new(wal);
+        let wal = WalStore::create(mem(), &p).unwrap();
+        // Fault and retry wrappers above a WalStore still report and
+        // control it, replication hooks included.
+        let (faulty, _ctl) = FaultStore::new(wal, 0);
+        let mut s = RetryStore::new(faulty, RetryPolicy::default());
         assert!(s.supports_rollback());
         assert!(s.wal_info().is_some());
         s.set_max_wal_bytes(Some(1 << 20));
@@ -1576,16 +896,24 @@ mod tests {
         assert!(s.wal_info().unwrap().live_bytes > 24);
         s.checkpoint().unwrap();
         assert!(s.wal_info().unwrap().checkpoints >= 1);
+        assert!(s.wal_retention().is_some());
+        assert!(!matches!(s.repl_feed(0).unwrap(), ReplFeed::Unsupported));
+        let mut faulty = s.into_inner();
+        assert!(faulty.wal_retention().is_some());
+        assert!(!matches!(
+            faulty.repl_feed(0).unwrap(),
+            ReplFeed::Unsupported
+        ));
         // A plain store reports no WAL and refuses nothing.
-        let (plain, _c) = CountingStore::new(MemPageStore::new(64).unwrap());
+        let (plain, _c) = FaultStore::new(mem(), 0);
         assert!(!plain.supports_rollback());
         assert!(plain.wal_info().is_none());
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
-    fn crash_store_dies_at_scheduled_op_and_stays_dead() {
-        let (mut s, ctl) = CrashStore::new(MemPageStore::new(64).unwrap());
+    fn crash_dies_at_scheduled_op_and_stays_dead() {
+        let (mut s, ctl) = FaultStore::new(mem(), 0);
         let a = s.allocate().unwrap();
         s.write(a, &[1u8; 64]).unwrap();
         ctl.crash_after(1, TornWrite::None);
@@ -1603,9 +931,9 @@ mod tests {
     }
 
     #[test]
-    fn crash_store_tears_the_dying_write() {
+    fn crash_tears_the_dying_write() {
         // Partial: first half new, second half old.
-        let (mut s, ctl) = CrashStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, ctl) = FaultStore::new(mem(), 0);
         let a = s.allocate().unwrap();
         s.write(a, &[0xaa; 64]).unwrap();
         ctl.crash_after(0, TornWrite::Partial);
@@ -1617,7 +945,7 @@ mod tests {
         assert!(buf[32..].iter().all(|&x| x == 0xaa));
 
         // Zeroed: the page comes back blank.
-        let (mut s, ctl) = CrashStore::new(MemPageStore::new(64).unwrap());
+        let (mut s, ctl) = FaultStore::new(mem(), 0);
         let a = s.allocate().unwrap();
         s.write(a, &[0xaa; 64]).unwrap();
         ctl.crash_after(0, TornWrite::Zeroed);

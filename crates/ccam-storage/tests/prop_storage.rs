@@ -218,14 +218,14 @@ proptest! {
         ops in prop::collection::vec(wal_op(), 1..60),
         crash_countdown in 1u64..50,
     ) {
-        use ccam_storage::testing::{CrashStore, TornWrite};
+        use ccam_storage::testing::{FaultStore, TornWrite};
         use ccam_storage::{recovery, PageStore, Wal, WalStore};
 
         const PS: usize = 64;
         let wal_path = unique_wal_path();
         std::fs::remove_file(&wal_path).ok();
 
-        let (cstore, ctl) = CrashStore::new(MemPageStore::new(PS).unwrap());
+        let (cstore, ctl) = FaultStore::new(MemPageStore::new(PS).unwrap(), 0);
         let mut ws = WalStore::create(cstore, &wal_path).unwrap();
         ctl.crash_after(crash_countdown, TornWrite::Partial);
 
@@ -319,7 +319,7 @@ proptest! {
 
     /// The buffer pool's frame table and page map stay in agreement under
     /// any interleaving of allocate/free/read/write/clear/set_capacity —
-    /// including mid-operation failures injected by a [`CorruptStore`]
+    /// including mid-operation failures injected by a [`FaultStore`]
     /// (checksum-corrupt pages and transient fault bursts). After every
     /// step [`BufferPool::check_invariants`] must hold and residency must
     /// respect the capacity; once the store is healed the pool must be
@@ -330,9 +330,9 @@ proptest! {
         strategy in pool_strategy(),
         ops in prop::collection::vec(pool_op(), 1..100),
     ) {
-        use ccam_storage::testing::CorruptStore;
+        use ccam_storage::testing::FaultStore;
 
-        let (store, ctl) = CorruptStore::new(MemPageStore::new(64).unwrap(), 7);
+        let (store, ctl) = FaultStore::new(MemPageStore::new(64).unwrap(), 7);
         let pool = BufferPool::with_strategy(store, cap, strategy);
         let mut live: Vec<PageId> = Vec::new();
 
@@ -366,9 +366,9 @@ proptest! {
                     if live.is_empty() { continue; }
                     ctl.mark_corrupt(live[i % live.len()]);
                 }
-                PoolOp::FaultBurst => ctl.set_fault_rate(1024, 2),
+                PoolOp::FaultBurst => ctl.set_glitch_rate(1024, 2),
                 PoolOp::Heal => {
-                    ctl.set_fault_rate(0, 1);
+                    ctl.set_glitch_rate(0, 1);
                     for id in ctl.corrupt_pages() {
                         ctl.clear_corrupt(id);
                     }
@@ -380,7 +380,7 @@ proptest! {
 
         // Heal every injected fault: the pool must flush cleanly and every
         // live page must still be reachable through it.
-        ctl.set_fault_rate(0, 1);
+        ctl.set_glitch_rate(0, 1);
         for id in ctl.corrupt_pages() {
             ctl.clear_corrupt(id);
         }

@@ -6,13 +6,13 @@ use ccam::core::am::{AccessMethod, CcamBuilder};
 use ccam::core::query::route::evaluate_path;
 use ccam::core::query::search::dijkstra;
 use ccam::graph::generators::grid_network;
-use ccam::storage::{FlakyStore, MemPageStore};
+use ccam::storage::{FaultStore, MemPageStore};
 
 #[test]
 fn create_fails_cleanly_when_io_dies_immediately() {
     let net = grid_network(6, 6, 1.0);
-    let (store, switch) = FlakyStore::new(MemPageStore::new(512).unwrap());
-    switch.arm_after(0);
+    let (store, switch) = FaultStore::new(MemPageStore::new(512).unwrap(), 0);
+    switch.fail_after(0);
     let r = CcamBuilder::new(512).build_static_on(store, &net);
     assert!(r.is_err(), "create over dead storage must fail, not panic");
 }
@@ -20,7 +20,7 @@ fn create_fails_cleanly_when_io_dies_immediately() {
 #[test]
 fn reads_fail_then_recover() {
     let net = grid_network(8, 8, 1.0);
-    let (store, switch) = FlakyStore::new(MemPageStore::new(512).unwrap());
+    let (store, switch) = FaultStore::new(MemPageStore::new(512).unwrap(), 0);
     let am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
     let id = net.node_ids()[30];
 
@@ -29,12 +29,12 @@ fn reads_fail_then_recover() {
 
     // Kill I/O; a cold read must error.
     am.file().pool().clear().unwrap();
-    switch.arm_after(0);
+    switch.fail_after(0);
     assert!(am.find(id).is_err());
     assert!(am.get_successors(id).is_err());
 
     // Heal; everything works again and the data is intact.
-    switch.disarm();
+    switch.stop_failing();
     let rec = am.find(id).unwrap().unwrap();
     assert_eq!(&rec, net.node(id).unwrap());
 }
@@ -42,21 +42,21 @@ fn reads_fail_then_recover() {
 #[test]
 fn queries_propagate_errors() {
     let net = grid_network(7, 7, 1.0);
-    let (store, switch) = FlakyStore::new(MemPageStore::new(512).unwrap());
+    let (store, switch) = FaultStore::new(MemPageStore::new(512).unwrap(), 0);
     let am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
     let ids = net.node_ids();
 
     am.file().pool().clear().unwrap();
-    switch.arm_after(1); // the first page fetch succeeds, then death
+    switch.fail_after(1); // the first page fetch succeeds, then death
     let r = dijkstra(&am, ids[0], ids[ids.len() - 1]);
     assert!(r.is_err(), "search across dead storage must error");
 
-    switch.disarm();
+    switch.stop_failing();
     am.file().pool().clear().unwrap();
-    switch.arm_after(0);
+    switch.fail_after(0);
     assert!(evaluate_path(&am, &ids[..3]).is_err());
 
-    switch.disarm();
+    switch.stop_failing();
     assert!(dijkstra(&am, ids[0], ids[ids.len() - 1]).unwrap().is_some());
 }
 
@@ -67,7 +67,7 @@ fn data_survives_a_mid_update_failure_window() {
     // buffer pool held the dirty pages, nothing was half-written to the
     // store at a torn boundary).
     let net = grid_network(8, 8, 1.0);
-    let (store, switch) = FlakyStore::new(MemPageStore::new(512).unwrap());
+    let (store, switch) = FaultStore::new(MemPageStore::new(512).unwrap(), 0);
     let mut am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
     let ids = net.node_ids();
 
@@ -76,17 +76,17 @@ fn data_survives_a_mid_update_failure_window() {
         if i % 3 == 1 {
             // A tiny failure window around this delete.
             am.file().pool().clear().unwrap();
-            switch.arm_after(1);
+            switch.fail_after(1);
         }
         match am.delete_node(id) {
             Ok(Some(del)) => {
-                switch.disarm();
+                switch.stop_failing();
                 am.insert_node(&del.data, &del.incoming).unwrap();
             }
             Ok(None) => panic!("node {id:?} should exist"),
             Err(_) => {
                 errored += 1;
-                switch.disarm();
+                switch.stop_failing();
             }
         }
     }
