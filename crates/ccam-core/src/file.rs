@@ -21,7 +21,8 @@ use ccam_graph::record::{decode_record, encode_record, encoded_len, peek_id};
 use ccam_graph::{NodeData, NodeId};
 use ccam_index::BPlusTree;
 use ccam_storage::{
-    BufferPool, IoStats, MemPageStore, PageId, PageStore, SlottedPage, StorageError, StorageResult,
+    BufferPool, IoStats, MemPageStore, PageId, PageStore, SlottedPage, SlottedView, StorageError,
+    StorageResult,
 };
 
 /// Default buffer capacity for update operations — the paper "assume\[s\]
@@ -135,13 +136,7 @@ impl<S: PageStore> NetworkFile<S> {
             let mut buf = vec![0u8; store.page_size()];
             for page in store.live_pages() {
                 match store.read(page, &mut buf) {
-                    Ok(()) => {
-                        let mut scratch = buf.clone();
-                        let sp = SlottedPage::attach(&mut scratch);
-                        let records: Vec<NodeData> =
-                            sp.iter().map(|(_, rec)| decode_record(rec)).collect();
-                        scan.push((page, records));
-                    }
+                    Ok(()) => scan.push((page, decode_page(&buf))),
                     Err(StorageError::ChecksumMismatch { .. }) => unreadable.push(page),
                     Err(e) => return Err(e),
                 }
@@ -450,56 +445,44 @@ impl<S: PageStore> NetworkFile<S> {
         Ok(rec.map(|r| (page, r)))
     }
 
-    /// Reads `id`'s record from `page` (counted fetch; in-page scan is
-    /// free). `None` when the record is not on that page.
+    /// Reads `id`'s record from `page` (counted fetch; the in-page scan
+    /// decodes the frame in place and is free). `None` when the record is
+    /// not on that page.
     pub fn read_from_page(&self, page: PageId, id: NodeId) -> StorageResult<Option<NodeData>> {
-        self.pool.with_page(page, |buf| {
-            let mut scratch = buf.to_vec();
-            let sp = SlottedPage::attach(&mut scratch);
-            let found = sp
-                .iter()
-                .find(|(_, rec)| peek_id(rec) == id)
-                .map(|(_, rec)| decode_record(rec));
-            found
-        })
+        self.pool.with_page(page, |buf| decode_one(buf, id))
     }
 
-    /// Scans the pages currently resident in the buffer for `id` —
-    /// the `Get-A-successor()` fast path ("the buffered data-page should
-    /// be searched first", §2.3). Costs no physical I/O.
+    /// The buffer-first probe ("the buffered data-page should be searched
+    /// first", §2.3): one index lookup, then `id`'s page is read only if
+    /// it is resident — exactly one counted buffer hit, never a fault.
+    /// `None` when `id` is unknown or its page is not resident; a miss
+    /// costs no hit, no read and no change to the LRU order.
     pub fn find_in_buffer(&self, id: NodeId) -> StorageResult<Option<(PageId, NodeData)>> {
-        for page in self.pool.resident_pages() {
-            if let Some(rec) = self.read_from_page(page, id)? {
-                return Ok(Some((page, rec)));
-            }
-        }
-        Ok(None)
+        let Some(page) = self.page_of(id)? else {
+            return Ok(None);
+        };
+        Ok(self
+            .pool
+            .with_resident_page(page, |buf| decode_one(buf, id))
+            .flatten()
+            .map(|rec| (page, rec)))
     }
 
     /// All records on `page` (counted fetch).
     pub fn read_page_records(&self, page: PageId) -> StorageResult<Vec<NodeData>> {
-        self.pool.with_page(page, |buf| {
-            let mut scratch = buf.to_vec();
-            let sp = SlottedPage::attach(&mut scratch);
-            let records: Vec<NodeData> = sp.iter().map(|(_, rec)| decode_record(rec)).collect();
-            records
-        })
+        self.pool.with_page(page, decode_page)
     }
 
     /// Free bytes on `page` after compaction (counted fetch).
     pub fn page_free_space(&self, page: PageId) -> StorageResult<usize> {
-        self.pool.with_page(page, |buf| {
-            let mut scratch = buf.to_vec();
-            SlottedPage::attach(&mut scratch).free_space()
-        })
+        self.pool
+            .with_page(page, |buf| SlottedView::new(buf).free_space())
     }
 
     /// Live record bytes on `page` (counted fetch).
     pub fn page_used_bytes(&self, page: PageId) -> StorageResult<usize> {
-        self.pool.with_page(page, |buf| {
-            let mut scratch = buf.to_vec();
-            SlottedPage::attach(&mut scratch).used_bytes()
-        })
+        self.pool
+            .with_page(page, |buf| SlottedView::new(buf).used_bytes())
     }
 
     // -- counted record mutation --------------------------------------------
@@ -646,9 +629,7 @@ impl<S: PageStore> NetworkFile<S> {
                 continue;
             }
             self.pool.read_uncounted(page, &mut buf)?;
-            let mut scratch = buf.clone();
-            let free = SlottedPage::attach(&mut scratch).free_space();
-            out.push((page, free));
+            out.push((page, SlottedView::new(&buf).free_space()));
         }
         Ok(out)
     }
@@ -663,10 +644,7 @@ impl<S: PageStore> NetworkFile<S> {
         let mut buf = vec![0u8; self.page_size];
         for page in self.pool.with_store(|s| s.live_pages()) {
             self.pool.read_uncounted(page, &mut buf)?;
-            let mut scratch = buf.clone();
-            let sp = SlottedPage::attach(&mut scratch);
-            let records: Vec<NodeData> = sp.iter().map(|(_, rec)| decode_record(rec)).collect();
-            out.push((page, records));
+            out.push((page, decode_page(&buf)));
         }
         Ok(out)
     }
@@ -688,6 +666,23 @@ impl<S: PageStore> NetworkFile<S> {
     pub fn clustering_budget(&self) -> usize {
         self.page_size - ccam_storage::slotted::HEADER_LEN
     }
+}
+
+/// Decodes every record of a slotted page, in place.
+fn decode_page(buf: &[u8]) -> Vec<NodeData> {
+    SlottedView::new(buf)
+        .iter()
+        .map(|(_, rec)| decode_record(rec))
+        .collect()
+}
+
+/// Decodes `id`'s record from a slotted page, in place; only the matching
+/// record is decoded.
+fn decode_one(buf: &[u8], id: NodeId) -> Option<NodeData> {
+    SlottedView::new(buf)
+        .iter()
+        .find(|(_, rec)| peek_id(rec) == id)
+        .map(|(_, rec)| decode_record(rec))
 }
 
 /// Byte size `node`'s record will occupy.
@@ -833,14 +828,27 @@ mod tests {
         let p = f.allocate_page().unwrap();
         f.insert_into(p, &node(1, 0)).unwrap();
         f.insert_into(p, &node(2, 0)).unwrap();
+        let q = f.allocate_page().unwrap();
+        f.insert_into(q, &node(3, 0)).unwrap();
         f.pool().clear().unwrap();
         f.find(NodeId(1)).unwrap(); // faults the page in
         let before = f.stats().snapshot();
         let hit = f.find_in_buffer(NodeId(2)).unwrap();
-        assert!(hit.is_some());
-        assert_eq!(f.stats().snapshot().since(&before).physical_reads, 0);
-        // And a node on no resident page is simply not found this way.
+        assert_eq!(hit.map(|(page, rec)| (page, rec.id)), Some((p, NodeId(2))));
+        let d = f.stats().snapshot().since(&before);
+        assert_eq!(
+            (d.physical_reads, d.buffer_hits),
+            (0, 1),
+            "one hit, no read"
+        );
+        // A node on a non-resident page (or on none) is simply not found
+        // this way — and the probe neither counts nor faults anything.
+        let before = f.stats().snapshot();
+        assert!(f.find_in_buffer(NodeId(3)).unwrap().is_none());
         assert!(f.find_in_buffer(NodeId(99)).unwrap().is_none());
+        let d = f.stats().snapshot().since(&before);
+        assert_eq!((d.physical_reads, d.buffer_hits), (0, 0));
+        assert!(!f.pool().is_resident(q));
     }
 
     #[test]

@@ -115,13 +115,10 @@ impl SpatialIndex {
         let ids = self.window_ids(file, x0, y0, x1, y1)?;
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            // Buffered pages first — window members cluster spatially,
-            // and on CCAM also by connectivity.
-            let rec = match file.find_in_buffer(id)? {
-                Some((_, r)) => Some(r),
-                None => file.find(id)?.map(|(_, r)| r),
-            };
-            if let Some(r) = rec {
+            // Window members cluster spatially (and on CCAM also by
+            // connectivity), so most fetches are free hits on pages
+            // already buffered; one index lookup per record.
+            if let Some((_, r)) = file.find(id)? {
                 out.push(r);
             }
         }

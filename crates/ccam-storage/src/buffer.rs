@@ -390,19 +390,20 @@ impl<S: PageStore> ShardedPool<S> {
         self.meta_cv.notify_all();
     }
 
-    fn count_hit(&self, id: PageId) {
+    /// The counted hit path: pins `id` MRU and records one buffer hit,
+    /// or returns `None` without counting anything.
+    fn hit(&self, id: PageId) -> Option<Arc<Frame>> {
+        let frame = self.pin_resident(id)?;
         self.stats.record_hit();
         self.shard(id).hits.fetch_add(1, Ordering::Relaxed);
         self.stats.record_page_event(id, PageAccessKind::Hit);
+        Some(frame)
     }
 
     /// Runs `f` over the (read-only) contents of page `id`.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
-        let frame = match self.pin_resident(id) {
-            Some(frame) => {
-                self.count_hit(id);
-                frame
-            }
+        let frame = match self.hit(id) {
+            Some(frame) => frame,
             None => self.fault_in(id)?,
         };
         let r = f(&frame.buf.read().data);
@@ -410,13 +411,19 @@ impl<S: PageStore> ShardedPool<S> {
         Ok(r)
     }
 
+    /// Runs `f` over page `id` only if it is resident: one counted hit,
+    /// never a fault. `None` (nothing counted) when it is not resident.
+    pub fn with_resident_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let frame = self.hit(id)?;
+        let r = f(&frame.buf.read().data);
+        self.unpin(&frame);
+        Some(r)
+    }
+
     /// Runs `f` over the mutable contents of page `id`, marking it dirty.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> StorageResult<R> {
-        let frame = match self.pin_resident(id) {
-            Some(frame) => {
-                self.count_hit(id);
-                frame
-            }
+        let frame = match self.hit(id) {
+            Some(frame) => frame,
             None => self.fault_in(id)?,
         };
         let r = {
@@ -434,8 +441,7 @@ impl<S: PageStore> ShardedPool<S> {
         let _fault = self.fault.lock();
         // Another thread may have faulted the page in while this one
         // waited on the fault lock.
-        if let Some(frame) = self.pin_resident(id) {
-            self.count_hit(id);
+        if let Some(frame) = self.hit(id) {
             return Ok(frame);
         }
         if !self.store.lock().is_live(id) {
@@ -589,15 +595,13 @@ impl<S: PageStore> ShardedPool<S> {
         }
     }
 
-    /// True when `id` is resident (a `Get-A-successor` probe: "the
-    /// buffered data-page should be searched first").
+    /// True when `id` is resident (uncounted, no recency change).
     pub fn is_resident(&self, id: PageId) -> bool {
         self.shard(id).map.lock().contains_key(&id)
     }
 
-    /// Ids of currently resident pages, most recently used first. Used by
-    /// `Get-successors()` to "check all pages brought into main memory
-    /// buffers ... without additional Find() operations" (§2.3).
+    /// Ids of currently resident pages, most recently used first
+    /// (uncounted, no recency change; diagnostics and tests).
     pub fn resident_pages(&self) -> Vec<PageId> {
         let m = self.meta.lock();
         let mut ids = Vec::with_capacity(m.len);
@@ -902,18 +906,12 @@ impl<S: PageStore> LinearPool<S> {
     /// back while we slept).
     fn acquire(&self, id: PageId) -> StorageResult<Arc<Frame>> {
         let mut s = self.state.lock();
-        s.tick += 1;
-        let tick = s.tick;
-        if let Some(lf) = s.frames.iter_mut().find(|lf| lf.frame.id == id) {
-            lf.last_used = tick;
-            lf.pins += 1;
-            let frame = Arc::clone(&lf.frame);
-            s.counters.hits += 1;
+        if let Some(frame) = Self::pin_resident(&mut s, id) {
             drop(s);
-            self.stats.record_hit();
-            self.stats.record_page_event(id, PageAccessKind::Hit);
+            self.record_hit(id);
             return Ok(frame);
         }
+        let tick = s.tick;
         if !s.store.is_live(id) {
             return Err(StorageError::InvalidPage(id));
         }
@@ -937,16 +935,9 @@ impl<S: PageStore> LinearPool<S> {
             // speculative read may be stale if the page was modified
             // and written back while we slept. The lock is now held
             // continuously through install, so the re-read is current.
-            s.tick += 1;
-            let retick = s.tick;
-            if let Some(lf) = s.frames.iter_mut().find(|lf| lf.frame.id == id) {
-                lf.last_used = retick;
-                lf.pins += 1;
-                let frame = Arc::clone(&lf.frame);
-                s.counters.hits += 1;
+            if let Some(frame) = Self::pin_resident(&mut s, id) {
                 drop(s);
-                self.stats.record_hit();
-                self.stats.record_page_event(id, PageAccessKind::Hit);
+                self.record_hit(id);
                 return Ok(frame);
             }
             if !s.store.is_live(id) {
@@ -977,6 +968,26 @@ impl<S: PageStore> LinearPool<S> {
         Ok(frame)
     }
 
+    /// The hit path's work under the state lock: ticks the clock and,
+    /// when `id` is resident, stamps and pins its frame and counts the
+    /// hit in the pool's counters. The caller records the hit in the
+    /// shared stats ([`Self::record_hit`]) after dropping the lock.
+    fn pin_resident(s: &mut LinearState<S>, id: PageId) -> Option<Arc<Frame>> {
+        s.tick += 1;
+        let tick = s.tick;
+        let lf = s.frames.iter_mut().find(|lf| lf.frame.id == id)?;
+        lf.last_used = tick;
+        lf.pins += 1;
+        let frame = Arc::clone(&lf.frame);
+        s.counters.hits += 1;
+        Some(frame)
+    }
+
+    fn record_hit(&self, id: PageId) {
+        self.stats.record_hit();
+        self.stats.record_page_event(id, PageAccessKind::Hit);
+    }
+
     fn release(&self, frame: &Arc<Frame>) {
         let mut s = self.state.lock();
         if let Some(lf) = s.frames.iter_mut().find(|lf| Arc::ptr_eq(&lf.frame, frame)) {
@@ -993,6 +1004,14 @@ impl<S: PageStore> LinearPool<S> {
         let r = f(&frame.buf.read().data);
         self.release(&frame);
         Ok(r)
+    }
+
+    fn with_resident_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let frame = Self::pin_resident(&mut self.state.lock(), id)?;
+        self.record_hit(id);
+        let r = f(&frame.buf.read().data);
+        self.release(&frame);
+        Some(r)
     }
 
     fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> StorageResult<R> {
@@ -1385,12 +1404,29 @@ impl<S: PageStore> BufferPool<S> {
         dispatch!(self, p => p.with_page_mut(id, f))
     }
 
-    /// True when `id` is resident.
+    /// Runs `f` over page `id` only if it is resident — the buffer-first
+    /// probe of `Get-A-successor()` ("the buffered data-page should be
+    /// searched first", §2.3). A resident page costs exactly one counted
+    /// hit and moves to MRU, as [`Self::with_page`] would; a non-resident
+    /// page returns `None` having counted nothing and changed no recency.
+    /// Residency is decided and the frame pinned in one step, so a
+    /// concurrent eviction can never turn the probe into a fault.
+    pub fn with_resident_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        dispatch!(self, p => p.with_resident_page(id, f))
+    }
+
+    /// True when `id` is resident. Uncounted and recency-neutral; a
+    /// caller that goes on to read the page uses
+    /// [`Self::with_resident_page`] instead, which cannot race an
+    /// eviction in between.
     pub fn is_resident(&self, id: PageId) -> bool {
         dispatch!(self, p => p.is_resident(id))
     }
 
     /// Ids of currently resident pages, most recently used first.
+    /// Uncounted and recency-neutral: a diagnostic and test aid (the
+    /// LRU-model property tests compare it with their model). No access
+    /// path scans it to resolve a record.
     pub fn resident_pages(&self) -> Vec<PageId> {
         dispatch!(self, p => p.resident_pages())
     }

@@ -48,36 +48,22 @@ fn put_u16(buf: &mut [u8], off: usize, v: u16) {
     buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 
-/// A mutable view of one page interpreted with the slotted layout.
+/// A read-only view of one page interpreted with the slotted layout.
 ///
-/// `SlottedPage` borrows the raw page bytes (typically handed out by the
-/// buffer manager) — it owns no storage itself.
-pub struct SlottedPage<'a> {
-    buf: &'a mut [u8],
+/// Decodes records straight out of borrowed bytes — typically a buffer
+/// frame handed out by `BufferPool::with_page` — so a read never copies
+/// the page. [`SlottedPage`] answers its own read-only queries through
+/// this view.
+#[derive(Clone, Copy)]
+pub struct SlottedView<'a> {
+    buf: &'a [u8],
 }
 
-impl<'a> SlottedPage<'a> {
-    /// Formats `buf` as an empty slotted page and returns the view.
-    pub fn init(buf: &'a mut [u8]) -> Self {
-        assert!(
-            buf.len() >= HEADER_LEN + SLOT_LEN,
-            "page too small for slotted layout"
-        );
-        assert!(
-            buf.len() <= u16::MAX as usize,
-            "page too large for u16 offsets"
-        );
-        let len = buf.len() as u16;
-        put_u16(buf, SLOT_COUNT_OFF, 0);
-        put_u16(buf, CELL_START_OFF, len);
-        put_u16(buf, LIVE_COUNT_OFF, 0);
-        SlottedPage { buf }
-    }
-
+impl<'a> SlottedView<'a> {
     /// Interprets already-formatted bytes as a slotted page.
-    pub fn attach(buf: &'a mut [u8]) -> Self {
+    pub fn new(buf: &'a [u8]) -> Self {
         debug_assert!(buf.len() >= HEADER_LEN + SLOT_LEN);
-        SlottedPage { buf }
+        SlottedView { buf }
     }
 
     /// Total number of slots, live or dead.
@@ -108,30 +94,11 @@ impl<'a> SlottedPage<'a> {
         }
     }
 
-    fn set_slot(&mut self, id: SlotId, rec_off: u16, rec_len: u16) {
-        let off = HEADER_LEN + id as usize * SLOT_LEN;
-        put_u16(self.buf, off, rec_off);
-        put_u16(self.buf, off + 2, rec_len);
-    }
-
     /// Returns the bytes of the record in `slot`, or `None` for dead /
     /// out-of-range slots.
-    pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
+    pub fn get(&self, slot: SlotId) -> Option<&'a [u8]> {
         let (off, len) = self.slot(slot)?;
         Some(&self.buf[off as usize..off as usize + len as usize])
-    }
-
-    /// Bytes of payload + directory a record of `len` bytes needs when it
-    /// cannot reuse a dead slot.
-    #[inline]
-    fn need_with_new_slot(len: usize) -> usize {
-        len + SLOT_LEN
-    }
-
-    /// Contiguous free bytes between the slot directory and the cells.
-    fn contiguous_free(&self) -> usize {
-        let dir_end = HEADER_LEN + self.slot_count() as usize * SLOT_LEN;
-        self.cell_start().saturating_sub(dir_end)
     }
 
     /// Free bytes available after compaction (dead-record space included).
@@ -164,6 +131,106 @@ impl<'a> SlottedPage<'a> {
             .filter_map(|s| self.slot(s))
             .map(|(_, len)| len as usize)
             .sum()
+    }
+
+    /// Iterates `(slot, record bytes)` over live records, in slot order.
+    pub fn iter(self) -> impl Iterator<Item = (SlotId, &'a [u8])> {
+        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
+    }
+}
+
+/// A mutable view of one page interpreted with the slotted layout.
+///
+/// `SlottedPage` borrows the raw page bytes (typically handed out by the
+/// buffer manager) — it owns no storage itself. Read-only callers use
+/// [`SlottedView`] instead, which needs only a shared borrow.
+pub struct SlottedPage<'a> {
+    buf: &'a mut [u8],
+}
+
+impl<'a> SlottedPage<'a> {
+    /// Formats `buf` as an empty slotted page and returns the view.
+    pub fn init(buf: &'a mut [u8]) -> Self {
+        assert!(
+            buf.len() >= HEADER_LEN + SLOT_LEN,
+            "page too small for slotted layout"
+        );
+        assert!(
+            buf.len() <= u16::MAX as usize,
+            "page too large for u16 offsets"
+        );
+        let len = buf.len() as u16;
+        put_u16(buf, SLOT_COUNT_OFF, 0);
+        put_u16(buf, CELL_START_OFF, len);
+        put_u16(buf, LIVE_COUNT_OFF, 0);
+        SlottedPage { buf }
+    }
+
+    /// Interprets already-formatted bytes as a slotted page.
+    pub fn attach(buf: &'a mut [u8]) -> Self {
+        debug_assert!(buf.len() >= HEADER_LEN + SLOT_LEN);
+        SlottedPage { buf }
+    }
+
+    /// The read-only view of the current contents.
+    pub fn view(&self) -> SlottedView<'_> {
+        SlottedView { buf: self.buf }
+    }
+
+    /// Total number of slots, live or dead.
+    pub fn slot_count(&self) -> u16 {
+        self.view().slot_count()
+    }
+
+    /// Number of live records.
+    pub fn live_count(&self) -> u16 {
+        self.view().live_count()
+    }
+
+    fn cell_start(&self) -> usize {
+        self.view().cell_start()
+    }
+
+    fn slot(&self, id: SlotId) -> Option<(u16, u16)> {
+        self.view().slot(id)
+    }
+
+    fn set_slot(&mut self, id: SlotId, rec_off: u16, rec_len: u16) {
+        let off = HEADER_LEN + id as usize * SLOT_LEN;
+        put_u16(self.buf, off, rec_off);
+        put_u16(self.buf, off + 2, rec_len);
+    }
+
+    /// Returns the bytes of the record in `slot`, or `None` for dead /
+    /// out-of-range slots.
+    pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
+        self.view().get(slot)
+    }
+
+    /// Bytes of payload + directory a record of `len` bytes needs when it
+    /// cannot reuse a dead slot.
+    #[inline]
+    fn need_with_new_slot(len: usize) -> usize {
+        len + SLOT_LEN
+    }
+
+    /// Contiguous free bytes between the slot directory and the cells.
+    fn contiguous_free(&self) -> usize {
+        let dir_end = HEADER_LEN + self.slot_count() as usize * SLOT_LEN;
+        self.cell_start().saturating_sub(dir_end)
+    }
+
+    /// Free bytes available after compaction (dead-record space included).
+    /// This is the number the access methods use when deciding whether a
+    /// node record fits a page.
+    pub fn free_space(&self) -> usize {
+        self.view().free_space()
+    }
+
+    /// Sum of live record payload bytes (used-space accounting for the
+    /// half-full invariant of CCAM pages).
+    pub fn used_bytes(&self) -> usize {
+        self.view().used_bytes()
     }
 
     /// Maximum record size a freshly initialised page of `page_size` bytes
@@ -286,7 +353,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Iterates `(slot, record bytes)` over live records.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
-        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
+        self.view().iter()
     }
 
     /// Rewrites all live records contiguously at the end of the page,

@@ -1,14 +1,17 @@
 //! Property-based tests for the storage substrate.
 //!
-//! The slotted page is model-checked against a `HashMap<SlotId, Vec<u8>>`;
-//! the buffer pool is checked to be transparent (reads through the pool
+//! The slotted page is model-checked against a `HashMap<SlotId, Vec<u8>>`,
+//! and its read-only view against the page itself; the buffer pool is
+//! checked to be transparent (reads through the pool
 //! always observe the latest writes, for any capacity); WAL recovery is
 //! checked to preserve every committed page and to be idempotent under
 //! repeated replay (a crash *during* recovery is itself recoverable).
 
 use std::collections::HashMap;
 
-use ccam_storage::{BufferPool, MemPageStore, PageId, PoolStrategy, SlottedPage, StorageError};
+use ccam_storage::{
+    BufferPool, MemPageStore, PageId, PoolStrategy, SlottedPage, SlottedView, StorageError,
+};
 use proptest::prelude::*;
 
 /// Both pool organizations must satisfy every pool property — the
@@ -163,6 +166,65 @@ proptest! {
             let used: usize = model.values().map(|d| d.len()).sum();
             prop_assert_eq!(page.used_bytes(), used);
             prop_assert!(page.free_space() <= 512);
+        }
+    }
+
+    /// The read-only view decodes a page's raw bytes exactly as the
+    /// mutable page does: after every insert, delete, update and
+    /// compaction, `SlottedView::iter` over the bytes yields
+    /// `SlottedPage::iter`'s records in the same order — the model's live
+    /// records in ascending slot order — and agrees on every count.
+    #[test]
+    fn slotted_view_matches_page_iter(ops in prop::collection::vec(page_op(), 1..80)) {
+        let mut buf = vec![0u8; 512];
+        SlottedPage::init(&mut buf);
+        let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
+
+        for op in ops {
+            let mut page = SlottedPage::attach(&mut buf);
+            let mut live: Vec<u16> = model.keys().copied().collect();
+            live.sort_unstable();
+            match op {
+                PageOp::Insert(data) => {
+                    if let Ok(slot) = page.insert(&data) {
+                        model.insert(slot, data);
+                    }
+                }
+                PageOp::Delete(i) => {
+                    if live.is_empty() { continue; }
+                    let slot = live[i % live.len()];
+                    page.delete(slot).unwrap();
+                    model.remove(&slot);
+                }
+                PageOp::Update(i, data) => {
+                    if live.is_empty() { continue; }
+                    let slot = live[i % live.len()];
+                    if page.update(slot, &data).is_ok() {
+                        model.insert(slot, data);
+                    }
+                }
+                PageOp::Compact => page.compact(),
+            }
+            let via_page: Vec<(u16, Vec<u8>)> =
+                page.iter().map(|(s, r)| (s, r.to_vec())).collect();
+            let counts = (page.slot_count(), page.live_count(), page.free_space(), page.used_bytes());
+
+            let bytes = buf.clone();
+            let view = SlottedView::new(&bytes);
+            let via_view: Vec<(u16, Vec<u8>)> =
+                view.iter().map(|(s, r)| (s, r.to_vec())).collect();
+            prop_assert_eq!(&via_view, &via_page);
+            let mut expected: Vec<(u16, Vec<u8>)> =
+                model.iter().map(|(&s, d)| (s, d.clone())).collect();
+            expected.sort_unstable();
+            prop_assert_eq!(&via_view, &expected);
+            prop_assert_eq!(
+                (view.slot_count(), view.live_count(), view.free_space(), view.used_bytes()),
+                counts
+            );
+            for (slot, data) in &expected {
+                prop_assert_eq!(view.get(*slot), Some(&data[..]));
+            }
         }
     }
 
@@ -444,6 +506,53 @@ proptest! {
                     pool.set_capacity(n).unwrap();
                     model.truncate(n);
                     cap = n;
+                }
+            }
+            prop_assert_eq!(&pool.resident_pages(), &model);
+            pool.check_invariants().map_err(TestCaseError::fail)?;
+        }
+    }
+
+    /// The hit-only probe (`with_resident_page`) against the same exact
+    /// LRU model: a resident page costs one counted hit and moves to MRU;
+    /// a non-resident page returns `None`, counts nothing, reads nothing
+    /// and leaves the recency order untouched. Interleaved with ordinary
+    /// accesses, evictions keep following the model.
+    #[test]
+    fn resident_probe_matches_lru_model(
+        cap in 1usize..6,
+        strategy in pool_strategy(),
+        ops in prop::collection::vec((0u8..4, any::<usize>()), 1..150),
+    ) {
+        let pool = BufferPool::with_strategy(MemPageStore::new(64).unwrap(), cap, strategy);
+        let mut live: Vec<PageId> = Vec::new();
+        let mut model: Vec<PageId> = Vec::new(); // MRU-first
+        for (kind, i) in ops {
+            if kind == 0 || live.is_empty() {
+                live.push(pool.allocate().unwrap());
+                continue;
+            }
+            let id = live[i % live.len()];
+            let before = pool.stats().snapshot();
+            let pos = model.iter().position(|&p| p == id);
+            if kind == 1 {
+                // Ordinary access: hit or miss, the page becomes MRU.
+                pool.with_page(id, |_| ()).unwrap();
+                match pos {
+                    Some(pos) => { model.remove(pos); }
+                    None if model.len() == cap => { model.pop(); }
+                    None => {}
+                }
+                model.insert(0, id);
+            } else {
+                let got = pool.with_resident_page(id, |buf| buf.len());
+                let d = pool.stats().snapshot().since(&before);
+                prop_assert_eq!(got.is_some(), pos.is_some());
+                prop_assert_eq!(d.physical_reads, 0);
+                prop_assert_eq!(d.buffer_hits, u64::from(pos.is_some()));
+                if let Some(pos) = pos {
+                    model.remove(pos);
+                    model.insert(0, id);
                 }
             }
             prop_assert_eq!(&pool.resident_pages(), &model);

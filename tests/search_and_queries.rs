@@ -133,3 +133,100 @@ fn search_io_reflects_clustering_quality() {
         "A* over CCAM ({ccam_io}) must beat BFS-AM ({bfs_io})"
     );
 }
+
+/// The buffer-first probe keeps the pool's recency order exact (§2.3:
+/// "the buffered data-page should be searched first"). With a 3-frame
+/// pool:
+///
+/// 1. probing a record whose page is not resident costs no hit and no
+///    read and leaves the LRU order as it was;
+/// 2. probing a record on a resident page costs exactly one hit and no
+///    read;
+/// 3. the `Find()` fallback inside `get_successors` evicts the true LRU
+///    page;
+/// 4. the source node's page stays resident through its own expansion.
+///
+/// A probe that walked the resident frames hit (and promoted) every one
+/// of them, reversing the LRU order, so the fallback evicted the source
+/// page — breaking rules 1 and 4.
+#[test]
+fn buffer_first_probe_keeps_lru_order() {
+    let net = net();
+    let w = HashMap::new();
+    let am = TopoAm::create(&net, 512, TraversalOrder::BreadthFirst, None, &w).unwrap();
+    let file = am.file();
+    let page = |id: NodeId| file.page_of(id).unwrap().unwrap();
+    let pool = file.pool();
+    pool.set_capacity(3).unwrap();
+
+    // A source whose successors off its own page all share one page.
+    let (src, src_page, far_page) = net
+        .node_ids()
+        .into_iter()
+        .find_map(|id| {
+            let p = page(id);
+            let mut foreign: Vec<_> = net
+                .node(id)
+                .unwrap()
+                .successors
+                .iter()
+                .map(|e| page(e.to))
+                .filter(|&q| q != p)
+                .collect();
+            foreign.dedup();
+            (foreign.len() == 1).then(|| (id, p, foreign[0]))
+        })
+        .expect("a node with exactly one foreign successor page");
+    // One node on each of three further pages.
+    let mut others: Vec<NodeId> = Vec::new();
+    for id in net.node_ids() {
+        let p = page(id);
+        if p != src_page && p != far_page && others.iter().all(|&o| page(o) != p) {
+            others.push(id);
+        }
+    }
+    let (x, y, z) = (others[0], others[1], others[2]);
+
+    // Rules 1 and 2 on a pool holding z, y, x (MRU first).
+    pool.clear().unwrap();
+    for id in [x, y, z] {
+        am.find(id).unwrap().unwrap();
+    }
+    let lru = vec![page(z), page(y), page(x)];
+    assert_eq!(pool.resident_pages(), lru);
+    let before = am.stats().snapshot();
+    assert!(file.find_in_buffer(src).unwrap().is_none());
+    let d = am.stats().snapshot().since(&before);
+    assert_eq!((d.buffer_hits, d.physical_reads), (0, 0), "missed probe");
+    assert_eq!(
+        pool.resident_pages(),
+        lru,
+        "missed probe reordered the pool"
+    );
+
+    let before = am.stats().snapshot();
+    let (p, rec) = file.find_in_buffer(x).unwrap().unwrap();
+    assert_eq!((p, rec.id), (page(x), x));
+    let d = am.stats().snapshot().since(&before);
+    assert_eq!((d.buffer_hits, d.physical_reads), (1, 0), "resident probe");
+    assert_eq!(pool.resident_pages(), vec![page(x), page(z), page(y)]);
+
+    // Rules 3 and 4: the pool holds y, x, then the source page (LRU
+    // first); expanding the source faults the far page over y.
+    pool.clear().unwrap();
+    for id in [y, x, src] {
+        am.find(id).unwrap().unwrap();
+    }
+    let before = am.stats().snapshot();
+    let succs = am.get_successors(src).unwrap();
+    assert_eq!(succs.len(), net.node(src).unwrap().successors.len());
+    let d = am.stats().snapshot().since(&before);
+    assert_eq!(d.physical_reads, 1, "only the far page is faulted");
+    let resident = pool.resident_pages();
+    assert!(
+        !resident.contains(&page(y)),
+        "the LRU page must go: {resident:?}"
+    );
+    assert!(resident.contains(&src_page), "the source page must stay");
+    assert!(resident.contains(&far_page) && resident.contains(&page(x)));
+}
