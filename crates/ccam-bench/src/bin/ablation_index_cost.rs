@@ -9,9 +9,17 @@
 //!
 //! Expected shape: with a generous index buffer the index cost vanishes
 //! (validating the paper's assumption); with a 1-frame buffer every
-//! `Find()` pays the full root-to-leaf path, and — because route
-//! evaluation resolves most successors from the *data* buffer without
-//! touching the index — CCAM's high CRR shields it from index cost too.
+//! `Find()` pays the full root-to-leaf path.
+//!
+//! Route evaluation resolves each hop with `Get-A-successor()`, whose
+//! buffer-first search is itself an index lookup (`page_of`) followed by
+//! a residency check of that one page. Every hop therefore visits the
+//! index whether or not its successor is already buffered, and at one
+//! index frame both methods pay the full path on every hop: CCAM's CRR
+//! lowers its *data* I/O but no longer its index I/O. The last shape
+//! check states the expectation of a buffer search that needs no index
+//! (CCAM below BFS-AM at one frame) and reports `[MISS]` under this
+//! design; ROADMAP records it as an open departure.
 
 use ccam_bench::{benchmark_network, render_table, EXPERIMENT_SEED};
 use ccam_core::am::{AccessMethod, CcamBuilder, TopoAm, TraversalOrder};
