@@ -1,5 +1,5 @@
 //! Wall-clock benchmark for the PR-5 hot paths: parallel bulk
-//! `Create()` and the O(1) sharded buffer pool.
+//! `Create()` and the O(1) buffer pool.
 //!
 //! Unlike the paper-figure binaries (which count page accesses, the
 //! machine-independent currency), this harness measures *time* — the
@@ -15,7 +15,7 @@
 //!   byte-identity check across all of them;
 //! * **create** — full `Static-Create()` (clustering + bulk load) at
 //!   1 thread vs all cores;
-//! * **pool** — the new sharded pool vs an inline replica of the old
+//! * **pool** — the O(1) pool vs an inline replica of the old
 //!   `Vec<Frame>` linear-scan pool, on hit-heavy, miss-heavy and
 //!   4-thread concurrent workloads.
 //!
@@ -481,9 +481,10 @@ fn bench_pool_pair(block: usize, cap: usize, set: usize, ops: u64) -> (f64, f64)
 }
 
 /// 4 threads, each hammering its own quarter of a pool-resident working
-/// set (pure hit path): `(old-behind-a-mutex, new-sharded)` ops/sec.
-/// This is the reader-concurrency case the sharded page table exists
-/// for — the old design serializes every access on one lock.
+/// set (pure hit path): `(old-behind-a-mutex, new)` ops/sec. The old
+/// design holds its one lock across every page read; the pool holds
+/// `meta` only for the probe and the relink, and runs the reads in
+/// parallel under per-frame locks.
 fn bench_pool_concurrent(block: usize, cap: usize, ops_per_thread: u64) -> (f64, f64) {
     const THREADS: usize = 4;
     let per = cap / THREADS;

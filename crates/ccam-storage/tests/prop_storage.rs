@@ -9,16 +9,8 @@
 
 use std::collections::HashMap;
 
-use ccam_storage::{
-    BufferPool, MemPageStore, PageId, PoolStrategy, SlottedPage, SlottedView, StorageError,
-};
+use ccam_storage::{BufferPool, MemPageStore, PageId, SlottedPage, SlottedView, StorageError};
 use proptest::prelude::*;
-
-/// Both pool organizations must satisfy every pool property — the
-/// strategy is an internal performance choice, never a semantic one.
-fn pool_strategy() -> impl Strategy<Value = PoolStrategy> {
-    prop_oneof![Just(PoolStrategy::Linear), Just(PoolStrategy::Sharded)]
-}
 
 #[derive(Debug, Clone)]
 enum PageOp {
@@ -233,10 +225,9 @@ proptest! {
     #[test]
     fn buffer_pool_is_transparent(
         cap in 1usize..6,
-        strategy in pool_strategy(),
         ops in prop::collection::vec((0u32..12, any::<u8>()), 1..120),
     ) {
-        let pool = BufferPool::with_strategy(MemPageStore::new(64).unwrap(), cap, strategy);
+        let pool = BufferPool::new(MemPageStore::new(64).unwrap(), cap);
         let mut ids: Vec<PageId> = Vec::new();
         let mut shadow: Vec<u8> = Vec::new();
         for (page_sel, value) in ops {
@@ -389,13 +380,12 @@ proptest! {
     #[test]
     fn buffer_pool_invariants_hold_under_faults(
         cap in 1usize..5,
-        strategy in pool_strategy(),
         ops in prop::collection::vec(pool_op(), 1..100),
     ) {
         use ccam_storage::testing::FaultStore;
 
         let (store, ctl) = FaultStore::new(MemPageStore::new(64).unwrap(), 7);
-        let pool = BufferPool::with_strategy(store, cap, strategy);
+        let pool = BufferPool::new(store, cap);
         let mut live: Vec<PageId> = Vec::new();
 
         for op in ops {
@@ -463,10 +453,9 @@ proptest! {
     #[test]
     fn buffer_pool_matches_lru_model(
         cap in 1usize..6,
-        strategy in pool_strategy(),
         ops in prop::collection::vec(lru_op(), 1..150),
     ) {
-        let pool = BufferPool::with_strategy(MemPageStore::new(64).unwrap(), cap, strategy);
+        let pool = BufferPool::new(MemPageStore::new(64).unwrap(), cap);
         let mut live: Vec<PageId> = Vec::new();
         let mut model: Vec<PageId> = Vec::new(); // MRU-first
         let mut cap = cap;
@@ -521,10 +510,9 @@ proptest! {
     #[test]
     fn resident_probe_matches_lru_model(
         cap in 1usize..6,
-        strategy in pool_strategy(),
         ops in prop::collection::vec((0u8..4, any::<usize>()), 1..150),
     ) {
-        let pool = BufferPool::with_strategy(MemPageStore::new(64).unwrap(), cap, strategy);
+        let pool = BufferPool::new(MemPageStore::new(64).unwrap(), cap);
         let mut live: Vec<PageId> = Vec::new();
         let mut model: Vec<PageId> = Vec::new(); // MRU-first
         for (kind, i) in ops {
