@@ -45,114 +45,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ccam_bench::report::{self, die, fixed, percentile, Args, Gates, Obj, OrDie};
+use ccam_bench::{Mix, ServeWorkload};
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
-use ccam_graph::{Network, NodeId};
 use ccam_server::client::{Backoff, Client};
 use ccam_server::protocol::{Request, Response, Status};
 use ccam_server::{Server, ServerConfig};
 use ccam_storage::{FaultStore, MemPageStore, PageStore, RetryPolicy, RetryStore};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
-struct Config {
-    seconds: u64,
-    seed: u64,
-    connections: usize,
-    batch: usize,
-    workers: usize,
-    queue_depth: usize,
-    out: String,
-    max_p99_us: u64,
-    /// Non-injected errors allowed per 1024 good-client requests.
-    error_budget_per_1024: u64,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        seconds: 5,
-        seed: 42,
-        connections: 4,
-        batch: 8,
-        workers: 2,
-        queue_depth: 8,
-        out: "BENCH_PR7.json".to_string(),
-        max_p99_us: 500_000,
-        error_budget_per_1024: 10,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).unwrap_or_else(|| die("missing value")).clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seconds" => cfg.seconds = value(&mut i).parse().unwrap_or(5),
-            "--seed" => cfg.seed = value(&mut i).parse().unwrap_or(42),
-            "--connections" => cfg.connections = value(&mut i).parse().unwrap_or(4),
-            "--batch" => cfg.batch = value(&mut i).parse().unwrap_or(8),
-            "--workers" => cfg.workers = value(&mut i).parse().unwrap_or(2),
-            "--queue-depth" => cfg.queue_depth = value(&mut i).parse().unwrap_or(8),
-            "--out" => cfg.out = value(&mut i),
-            "--max-p99-us" => cfg.max_p99_us = value(&mut i).parse().unwrap_or(500_000),
-            "--error-budget-per-1024" => {
-                cfg.error_budget_per_1024 = value(&mut i).parse().unwrap_or(10)
-            }
-            other => die(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    cfg
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("chaos_serve: {msg}");
-    std::process::exit(2);
-}
-
-struct Workload {
-    ids: Vec<NodeId>,
-    walks: Vec<Vec<NodeId>>,
-}
-
-fn workload_from(net: &Network, seed: u64) -> Workload {
-    let ids = net.node_ids();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut walks = Vec::with_capacity(128);
-    for _ in 0..128 {
-        let mut walk = vec![ids[rng.random_range(0..ids.len())]];
-        for _ in 0..4 {
-            let cur = *walk.last().unwrap();
-            let Some(node) = net.nodes().find(|n| n.id == cur) else {
-                break;
-            };
-            if node.successors.is_empty() {
-                break;
-            }
-            let e = &node.successors[rng.random_range(0..node.successors.len())];
-            walk.push(e.to);
-        }
-        walks.push(walk);
-    }
-    Workload { ids, walks }
-}
-
-fn sample_request(rng: &mut StdRng, w: &Workload) -> Request {
-    let pick = rng.random_range(0..100u32);
-    let id = w.ids[rng.random_range(0..w.ids.len())];
-    if pick < 55 {
-        Request::Find(id)
-    } else if pick < 80 {
-        Request::GetSuccessors(id)
-    } else if pick < 92 {
-        Request::Route(w.walks[rng.random_range(0..w.walks.len())].clone())
-    } else {
-        let walk = &w.walks[rng.random_range(0..w.walks.len())];
-        Request::RangeAggregate(walk.windows(2).map(|p| (p[0], p[1])).collect())
-    }
-}
+/// The good clients' request mix: find : get_successors : route :
+/// range_aggregate.
+const MIX: Mix = Mix([55, 25, 12, 8]);
 
 /// Good-client response tallies, by outcome class.
 #[derive(Default)]
@@ -169,7 +76,8 @@ struct Tally {
 
 fn run_good_client(
     addr: std::net::SocketAddr,
-    w: &Workload,
+    w: &ServeWorkload,
+    batch: usize,
     seed: u64,
     deadline: Instant,
 ) -> Tally {
@@ -198,7 +106,7 @@ fn run_good_client(
                 }
             },
         };
-        let batch: Vec<Request> = (0..8).map(|_| sample_request(&mut rng, w)).collect();
+        let batch: Vec<Request> = (0..batch).map(|_| w.sample(&mut rng, &MIX)).collect();
         let start = Instant::now();
         match c.call_with_retry(&batch, &mut backoff) {
             Ok(resps) => {
@@ -249,7 +157,7 @@ fn run_staller(addr: std::net::SocketAddr, idle_timeout: Duration) -> bool {
 
 /// Sends one valid frame, half-closes its write side, and expects the
 /// full response followed by EOF. Returns true on that exact shape.
-fn run_half_closer(addr: std::net::SocketAddr, w: &Workload) -> bool {
+fn run_half_closer(addr: std::net::SocketAddr, w: &ServeWorkload) -> bool {
     let Ok(mut client) = Client::connect(addr) else {
         return false;
     };
@@ -272,7 +180,7 @@ fn run_half_closer(addr: std::net::SocketAddr, w: &Workload) -> bool {
 
 /// Pipelines frames and vanishes with responses unread (close with
 /// unread data resets the connection under the server's writes).
-fn run_vanisher(addr: std::net::SocketAddr, w: &Workload) {
+fn run_vanisher(addr: std::net::SocketAddr, w: &ServeWorkload) {
     let Ok(mut client) = Client::connect(addr) else {
         return;
     };
@@ -310,16 +218,19 @@ fn republish<S: PageStore>(db: &EpochCell<Ccam<S>>) -> bool {
     false
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn main() {
-    let cfg = parse_args();
+    let mut a = Args::from_env();
+    let seconds: u64 = a.get("--seconds", 5);
+    let seed: u64 = a.get("--seed", 42);
+    let connections: u64 = a.get("--connections", 4);
+    let batch: usize = a.get("--batch", 8);
+    let workers: usize = a.get("--workers", 2);
+    let queue_depth: usize = a.get("--queue-depth", 8);
+    let out: String = a.get("--out", "BENCH_PR7.json".to_string());
+    let max_p99_us: u64 = a.get("--max-p99-us", 500_000);
+    // Non-injected errors allowed per 1024 good-client requests.
+    let error_budget_per_1024: u64 = a.get("--error-budget-per-1024", 10);
+    a.finish();
     let net = road_map(&RoadMapConfig {
         grid_w: 20,
         grid_h: 20,
@@ -330,15 +241,12 @@ fn main() {
         jitter: 24,
         seed: 5,
     });
-    let w = workload_from(&net, cfg.seed);
+    let w = ServeWorkload::new(&net, 128, seed);
 
     // Production-shaped stack: retries (jittered, really sleeping)
     // absorb short glitch bursts; only over-budget faults reach the
     // access method — where the server degrades or answers Internal.
-    let (chaos, controller) = FaultStore::new(
-        MemPageStore::new(1024).unwrap_or_else(|e| die(&format!("store: {e}"))),
-        cfg.seed,
-    );
+    let (chaos, controller) = FaultStore::new(MemPageStore::new(1024).or_die("store"), seed);
     let retry = RetryStore::with_sleeper(
         chaos,
         RetryPolicy {
@@ -347,12 +255,12 @@ fn main() {
             max_delay_ticks: 8,
             jitter_seed: None,
         }
-        .with_jitter(cfg.seed),
+        .with_jitter(seed),
         |ticks| std::thread::sleep(Duration::from_micros(ticks * 100)),
     );
     let am = CcamBuilder::new(1024)
         .build_static_on(retry, &net)
-        .unwrap_or_else(|e| die(&format!("build: {e}")));
+        .or_die("build");
     let target = net.node_ids()[17];
     let target_page = am
         .file()
@@ -360,28 +268,26 @@ fn main() {
         .ok()
         .flatten()
         .unwrap_or_else(|| die("target node has no page"));
-    let db = Arc::new(
-        EpochCell::new(am).unwrap_or_else(|e| die(&format!("publish initial snapshot: {e}"))),
-    );
+    let db = Arc::new(EpochCell::new(am).or_die("publish initial snapshot"));
 
     let idle_timeout = Duration::from_millis(700);
     let handle = Server::start(
         Arc::clone(&db),
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: cfg.workers,
-            queue_depth: cfg.queue_depth,
+            workers,
+            queue_depth,
             idle_timeout_ms: idle_timeout.as_millis() as u64,
             write_timeout_ms: 500,
             deadline_ms: 200,
             ..ServerConfig::default()
         },
     )
-    .unwrap_or_else(|e| die(&format!("server: {e}")));
+    .or_die("server");
     let addr = handle.local_addr();
     eprintln!(
         "chaos_serve: seed {} — {} good clients + 3 fault clients against {addr} for {}s",
-        cfg.seed, cfg.connections, cfg.seconds
+        seed, connections, seconds
     );
 
     // Open the chaos valve only now: the build above ran clean.
@@ -390,17 +296,17 @@ fn main() {
     controller.set_stall_rate(8, 2_000);
 
     let wall = Instant::now();
-    let run_deadline = wall + Duration::from_secs(cfg.seconds);
+    let run_deadline = wall + Duration::from_secs(seconds);
     let stop = AtomicBool::new(false);
     let half_close_ok = AtomicU64::new(0);
     let half_close_runs = AtomicU64::new(0);
     let writer_recovered = AtomicBool::new(false);
 
     let (tallies, staller_reaped) = std::thread::scope(|s| {
-        let good: Vec<_> = (0..cfg.connections)
+        let good: Vec<_> = (0..connections)
             .map(|i| {
                 let w = &w;
-                s.spawn(move || run_good_client(addr, w, cfg.seed + i as u64, run_deadline))
+                s.spawn(move || run_good_client(addr, w, batch, seed + i, run_deadline))
             })
             .collect();
         let staller = s.spawn(|| run_staller(addr, idle_timeout));
@@ -426,7 +332,7 @@ fn main() {
         let db = &db;
         let writer_recovered = &writer_recovered;
         s.spawn(move || {
-            let phase = Duration::from_secs(cfg.seconds) / 5;
+            let phase = Duration::from_secs(seconds) / 5;
             std::thread::sleep(phase);
             // Phase 1 — corrupt one data page and republish: reads of
             // it must degrade, not 500. The capture re-reads the page
@@ -516,82 +422,64 @@ fn main() {
     // only the excess (plus protocol-level surprises) counts against
     // the error budget.
     let non_injected = t.internal.saturating_sub(injected + poisoned_internals) + t.unexpected;
-    let budget = (total.max(1) * cfg.error_budget_per_1024) / 1024;
+    let budget = (total.max(1) * error_budget_per_1024) / 1024;
 
-    let mut violations: Vec<String> = Vec::new();
-    if worker_panics > 0 {
-        violations.push(format!("{worker_panics} worker panics (want 0)"));
-    }
-    if !graceful_drain {
-        violations.push("shutdown did not drain cleanly".to_string());
-    }
-    if !staller_reaped {
-        violations.push("stalled half-frame client was not reaped".to_string());
-    }
-    if degraded_reads == 0 {
-        violations.push("no degraded reads despite page corruption".to_string());
-    }
-    if !recovered {
-        violations.push("writer panic was not recovered".to_string());
-    }
-    if poisoned_internals == 0 {
-        violations.push("poisoned window produced no typed Internal responses".to_string());
-    }
-    if non_injected > budget {
-        violations.push(format!(
-            "{non_injected} non-injected errors exceed budget {budget} ({}/1024 of {total})",
-            cfg.error_budget_per_1024
-        ));
-    }
-    if cfg.max_p99_us > 0 && p99 > cfg.max_p99_us {
-        violations.push(format!("p99 {p99}us over bound {}us", cfg.max_p99_us));
+    let mut gates = Gates::default();
+    gates.at_most("worker_panics", worker_panics, 0);
+    gates.check("graceful_drain", graceful_drain, "unclean drain");
+    gates.check("staller_reaped", staller_reaped, "staller not reaped");
+    gates.at_least("degraded_reads", degraded_reads, 1);
+    gates.check("writer_recovered", recovered, "writer panic not recovered");
+    gates.at_least("poisoned_internals", poisoned_internals, 1);
+    gates.at_most("non_injected_errors", non_injected, budget);
+    if max_p99_us > 0 {
+        gates.at_most("p99_us", p99, max_p99_us);
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"chaos_serve\",\n  \"config\": {{\n    \"seed\": {},\n    \"seconds\": {},\n    \"connections\": {},\n    \"workers\": {},\n    \"queue_depth\": {}\n  }},\n  \"results\": {{\n    \"qps\": {:.1},\n    \"ok\": {},\n    \"overloaded\": {},\n    \"deadline_exceeded\": {},\n    \"degraded\": {},\n    \"internal\": {},\n    \"unexpected\": {},\n    \"reconnects\": {},\n    \"p50_us\": {},\n    \"p99_us\": {},\n    \"injected_faults\": {},\n    \"injected_stalls\": {},\n    \"non_injected_errors\": {},\n    \"worker_panics\": {},\n    \"degraded_reads\": {},\n    \"idle_reaped\": {},\n    \"snapshot_pins\": {},\n    \"poisoned_internals\": {},\n    \"writer_recovered\": {},\n    \"half_close_answered\": {},\n    \"half_close_runs\": {},\n    \"staller_reaped\": {},\n    \"graceful_drain\": {},\n    \"slo_violations\": {}\n  }}\n}}\n",
-        cfg.seed,
-        cfg.seconds,
-        cfg.connections,
-        cfg.workers,
-        cfg.queue_depth,
-        t.ok as f64 / elapsed,
-        t.ok,
-        t.overloaded,
-        t.deadline,
-        t.degraded,
-        t.internal,
-        t.unexpected,
-        t.reconnects,
-        percentile(&t.latencies_us, 0.50),
-        p99,
-        injected,
-        controller.injected_stalls(),
-        non_injected,
-        worker_panics,
-        degraded_reads,
-        idle_reaped,
-        snapshot_pins,
-        poisoned_internals,
-        recovered,
-        half_close_ok.load(Ordering::Relaxed),
-        half_close_runs.load(Ordering::Relaxed),
-        staller_reaped,
-        graceful_drain,
-        violations.len(),
+    let config = Obj::new()
+        .set("seed", seed)
+        .set("seconds", seconds)
+        .set("connections", connections)
+        .set("workers", workers)
+        .set("queue_depth", queue_depth);
+    let results = Obj::new()
+        .set("qps", fixed(t.ok as f64 / elapsed, 1))
+        .set("ok", t.ok)
+        .set("overloaded", t.overloaded)
+        .set("deadline_exceeded", t.deadline)
+        .set("degraded", t.degraded)
+        .set("internal", t.internal)
+        .set("unexpected", t.unexpected)
+        .set("reconnects", t.reconnects)
+        .set("p50_us", percentile(&t.latencies_us, 0.50))
+        .set("p99_us", p99)
+        .set("injected_faults", injected)
+        .set("injected_stalls", controller.injected_stalls())
+        .set("non_injected_errors", non_injected)
+        .set("worker_panics", worker_panics)
+        .set("degraded_reads", degraded_reads)
+        .set("idle_reaped", idle_reaped)
+        .set("snapshot_pins", snapshot_pins)
+        .set("poisoned_internals", poisoned_internals)
+        .set("writer_recovered", recovered)
+        .set("half_close_answered", half_close_ok.load(Ordering::Relaxed))
+        .set("half_close_runs", half_close_runs.load(Ordering::Relaxed))
+        .set("staller_reaped", staller_reaped)
+        .set("graceful_drain", graceful_drain)
+        .set("slo_violations", gates.failures());
+    report::write_report(
+        &out,
+        Obj::new()
+            .set("bench", "chaos_serve")
+            .set("config", config)
+            .set("results", results)
+            .set("gates", gates.to_json()),
     );
-    std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("--out {}: {e}", cfg.out)));
     println!(
         "ok {}  degraded {}  deadline {}  internal {} (injected {})  unexpected {}  p99 {}us  panics {}  drain {}",
         t.ok, t.degraded, t.deadline, t.internal, injected, t.unexpected, p99, worker_panics, graceful_drain
     );
     let _ = std::io::stdout().flush();
-
-    if violations.is_empty() {
-        eprintln!("chaos_serve: all SLOs held");
-    } else {
-        for v in &violations {
-            eprintln!("chaos_serve: SLO VIOLATION — {v}");
-        }
-        std::process::exit(1);
-    }
+    gates.exit_on_failure();
+    eprintln!("chaos_serve: all SLOs held");
 }

@@ -30,54 +30,26 @@
 //! regressed more than 2x (the CI guard against accidental
 //! de-parallelization or an O(n²) slip).
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
+use ccam_bench::part_graph;
+use ccam_bench::report::{self, die, fixed, Args, Gates, Obj};
 use ccam_core::am::{AccessMethod, CcamBuilder};
 use ccam_graph::generators::grid_network;
 use ccam_partition::{
-    cluster_nodes_into_pages_with, ClusterOptions, PartGraph, PartitionStrategy, Partitioner,
+    cluster_nodes_into_pages_with, ClusterOptions, PartitionStrategy, Partitioner,
 };
-use ccam_storage::{BufferPool, MemPageStore, PageId, PageStore};
+use ccam_storage::{xorshift64_star, BufferPool, MemPageStore, PageId, PageStore};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut grid: u32 = 224; // 224 × 224 = 50 176 nodes
-    let mut block: usize = 1024;
-    let mut out = String::from("BENCH_PR5.json");
-    let mut quick = false;
-    let mut baseline: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--grid" => {
-                grid = args[i + 1].parse().expect("--grid N");
-                i += 2;
-            }
-            "--block" => {
-                block = args[i + 1].parse().expect("--block N");
-                i += 2;
-            }
-            "--out" => {
-                out = args[i + 1].clone();
-                i += 2;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--check-baseline" => {
-                baseline = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut a = Args::from_env();
+    let mut grid: u32 = a.get("--grid", 224); // 224 × 224 = 50 176 nodes
+    let block: usize = a.get("--block", 1024);
+    let out: String = a.get("--out", "BENCH_PR5.json".to_string());
+    let quick = a.has("--quick");
+    let baseline: Option<String> = a.opt("--check-baseline");
+    a.finish();
     if quick {
         grid = grid.min(64); // 4096 nodes: seconds, not minutes
     }
@@ -111,27 +83,7 @@ fn main() {
     // The same PartGraph `Static-Create()` builds internally: node
     // clustering weights against the real page budget, uniform edge
     // weights (the CRR experiments' setting).
-    let budget = CcamBuilder::new(block)
-        .build_empty()
-        .expect("empty file")
-        .file()
-        .clustering_budget();
-    let all: Vec<&ccam_graph::NodeData> = net.nodes().collect();
-    let idx_of: HashMap<ccam_graph::NodeId, usize> =
-        all.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
-    let sizes: Vec<usize> = all
-        .iter()
-        .map(|n| ccam_core::file::clustering_weight(n))
-        .collect();
-    let mut part_edges = Vec::new();
-    for (i, n) in all.iter().enumerate() {
-        for e in &n.successors {
-            if let Some(&j) = idx_of.get(&e.to) {
-                part_edges.push((i, j, 1u64));
-            }
-        }
-    }
-    let graph = PartGraph::new(sizes, &part_edges);
+    let (graph, budget) = part_graph(&net, block);
 
     // Both strategies sweep the same thread counts; each row records its
     // speedup over the same strategy's 1-thread run so the parallel
@@ -246,134 +198,126 @@ fn main() {
         conc.1 / conc.0
     );
 
-    // ---- Report -----------------------------------------------------
-    let mut j = String::new();
-    let _ = write!(
-        j,
-        "{{\n  \"config\": {{\"grid\": {grid}, \"nodes\": {nodes}, \"edges\": {edges}, \
-         \"block\": {block}, \"available_threads\": {cores}, \"quick\": {quick}}},\n"
-    );
-    // One block per strategy: "clustering" (flat — the key the baseline
-    // gate reads, unchanged for compatibility) and
-    // "clustering_multilevel". Every run row carries its speedup over
-    // the same strategy's 1-thread run.
-    for (sname, rows, ident) in &sweeps {
-        let key = if *sname == "flat" {
-            "clustering".to_string()
-        } else {
-            format!("clustering_{sname}")
-        };
-        let _ = write!(
-            j,
-            "  \"{key}\": {{\n    \"identical_across_threads\": {ident},\n    \
-             \"thread_sweep_skipped\": {sweep_skipped},\n    \"runs\": [\n"
-        );
-        let s1 = secs_at(rows, 1);
-        for (k, (t, secs, nps, pages)) in rows.iter().enumerate() {
-            // `null` rather than a fabricated 1.0 — consumers must not
-            // mistake "could not measure" for "did not speed up".
-            let sp = s1.map_or("null".to_string(), |s| format!("{:.3}", s / secs));
-            let _ = writeln!(
-                j,
-                "      {{\"threads\": {t}, \"secs\": {secs:.4}, \"nodes_per_sec\": {nps:.0}, \
-                 \"pages\": {pages}, \"speedup_vs_1_thread\": {sp}}}{}",
-                if k + 1 < rows.len() { "," } else { "" }
-            );
-        }
-        let best: f64 = rows.iter().map(|&(_, _, n, _)| n).fold(0.0, f64::max);
-        let sp4 = match (secs_at(rows, 1), secs_at(rows, 4)) {
-            (Some(a), Some(b)) => format!("{:.3}", a / b),
-            _ => "null".to_string(),
-        };
-        let _ = write!(
-            j,
-            "    ],\n    \"speedup_at_4_threads\": {sp4},\n    \
-             \"best_nodes_per_sec\": {best:.0}\n  }},\n"
-        );
+    // ---- Gates --------------------------------------------------------
+    let mut gates = Gates::default();
+    for (sname, _, ident) in &sweeps {
+        let why = "clustering output differed across thread counts";
+        gates.check(&format!("{sname}_identical_across_threads"), *ident, why);
     }
-    let best_nps = cluster_rows
-        .iter()
-        .map(|&(_, _, n, _)| n)
-        .fold(0.0, f64::max);
-    let _ = writeln!(
-        j,
-        "  \"create\": {{\"secs_1_thread\": {create_1t:.4}, \"secs_all_cores\": {create_nt:.4}, \
-         \"speedup\": {:.3}, \"layout_identical\": {same_layout}}},",
-        create_1t / create_nt
-    );
-    let pool_obj = |(old, new): (f64, f64)| {
-        format!(
-            "{{\"old_ops_per_sec\": {old:.0}, \"new_ops_per_sec\": {new:.0}, \"speedup\": {:.3}}}",
-            new / old
-        )
-    };
-    let _ = write!(j, "  \"pool\": {{\n    \"regimes\": [\n");
-    for (k, &(cap, hit, miss)) in pool_rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "      {{\"capacity\": {cap}, \"hit_heavy\": {}, \"miss_heavy\": {}}}{}",
-            pool_obj(hit),
-            pool_obj(miss),
-            if k + 1 < pool_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        j,
-        "    ],\n    \"concurrent_4_threads\": {{\"capacity\": {conc_cap}, \"result\": {}}}\n  }}\n}}\n",
-        pool_obj(conc)
-    );
-    std::fs::write(&out, &j).expect("write report");
-    println!("wrote {out}");
-
-    // ---- Optional CI regression gate --------------------------------
+    let best_of = |rows: &[SweepRow]| rows.iter().map(|r| r.2).fold(0.0, f64::max);
+    let best_nps = best_of(cluster_rows);
     if let Some(path) = baseline {
-        let base = std::fs::read_to_string(&path).expect("read baseline");
-        let base_nps = extract_number(&base, "best_nodes_per_sec")
-            .expect("baseline missing best_nodes_per_sec");
+        let base = report::read_numbers(&path);
+        let base_nps = base.get("best_nodes_per_sec");
+        let base_nps = base_nps.unwrap_or_else(|| die(&format!("{path}: no best_nodes_per_sec")));
+        // Throughput regressed when the baseline is over 2x this run's.
         let ratio = base_nps / best_nps;
         // A baseline recorded on a different core count is a different
         // machine: its absolute throughput says nothing about this run,
         // so comparing would either mask a real regression or fail a
         // healthy run. Warn loudly and report the ratio without gating.
-        let base_cores = extract_number(&base, "available_threads");
-        let cores_match = base_cores.is_none_or(|b| b as usize == cores);
-        if !cores_match {
+        let base_cores = base.get("available_threads");
+        if base_cores.is_none_or(|b| b as usize == cores) {
+            gates.at_most("baseline_throughput_ratio", ratio, 2.0);
+            println!(
+                "baseline check: {best_nps:.0} nodes/s vs baseline {base_nps:.0} nodes/s \
+                 ({ratio:.2}x, threshold 2x)"
+            );
+        } else {
             eprintln!(
                 "WARNING: baseline {path} was recorded on {:.0} cores, this run has {cores} — \
                  cross-machine throughput is not comparable; regression gate skipped \
                  (informational: {best_nps:.0} nodes/s vs baseline {base_nps:.0}, {ratio:.2}x)",
                 base_cores.unwrap_or(0.0)
             );
-        } else if ratio > 2.0 {
-            eprintln!(
-                "FAIL: clustering throughput regressed {ratio:.2}x \
-                 (baseline {base_nps:.0} nodes/s, now {best_nps:.0} nodes/s)"
-            );
-            std::process::exit(1);
-        } else {
-            println!(
-                "baseline check ok: {best_nps:.0} nodes/s vs baseline {base_nps:.0} nodes/s \
-                 ({ratio:.2}x, threshold 2x)"
-            );
         }
     }
-    for (sname, _, ident) in &sweeps {
-        if !ident {
-            eprintln!("FAIL: {sname} clustering output differed across thread counts");
-            std::process::exit(1);
-        }
-    }
-}
 
-/// Pulls `"key": <number>` out of a report written by this binary.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    // ---- Report -----------------------------------------------------
+    let mut j = Obj::new().set(
+        "config",
+        Obj::new()
+            .set("grid", grid)
+            .set("nodes", nodes)
+            .set("edges", edges)
+            .set("block", block)
+            .set("available_threads", cores)
+            .set("quick", quick),
+    );
+    // One block per strategy: "clustering" (flat — the key the baseline
+    // gate reads, unchanged for compatibility) and
+    // "clustering_multilevel". Every run row carries its speedup over
+    // the same strategy's 1-thread run; `null` rather than a fabricated
+    // 1.0 where it could not be measured.
+    for (sname, rows, ident) in &sweeps {
+        let key = if *sname == "flat" {
+            "clustering".to_string()
+        } else {
+            format!("clustering_{sname}")
+        };
+        let s1 = secs_at(rows, 1);
+        let runs: Vec<Obj> = rows
+            .iter()
+            .map(|&(t, secs, nps, pages)| {
+                Obj::new()
+                    .set("threads", t)
+                    .set("secs", fixed(secs, 4))
+                    .set("nodes_per_sec", fixed(nps, 0))
+                    .set("pages", pages)
+                    .set("speedup_vs_1_thread", s1.map(|s| fixed(s / secs, 3)))
+            })
+            .collect();
+        let sp4 = match (s1, secs_at(rows, 4)) {
+            (Some(a), Some(b)) => Some(fixed(a / b, 3)),
+            _ => None,
+        };
+        j = j.set(
+            &key,
+            Obj::new()
+                .set("identical_across_threads", *ident)
+                .set("thread_sweep_skipped", sweep_skipped)
+                .set("runs", runs)
+                .set("speedup_at_4_threads", sp4)
+                .set("best_nodes_per_sec", fixed(best_of(rows), 0)),
+        );
+    }
+    let pool_obj = |(old, new): (f64, f64)| {
+        Obj::new()
+            .set("old_ops_per_sec", fixed(old, 0))
+            .set("new_ops_per_sec", fixed(new, 0))
+            .set("speedup", fixed(new / old, 3))
+    };
+    let regimes: Vec<Obj> = pool_rows
+        .iter()
+        .map(|&(cap, hit, miss)| {
+            Obj::new()
+                .set("capacity", cap)
+                .set("hit_heavy", pool_obj(hit))
+                .set("miss_heavy", pool_obj(miss))
+        })
+        .collect();
+    let j = j
+        .set(
+            "create",
+            Obj::new()
+                .set("secs_1_thread", fixed(create_1t, 4))
+                .set("secs_all_cores", fixed(create_nt, 4))
+                .set("speedup", fixed(create_1t / create_nt, 3))
+                .set("layout_identical", same_layout),
+        )
+        .set(
+            "pool",
+            Obj::new().set("regimes", regimes).set(
+                "concurrent_4_threads",
+                Obj::new()
+                    .set("capacity", conc_cap)
+                    .set("result", pool_obj(conc)),
+            ),
+        )
+        .set("gates", gates.to_json());
+    report::write_report(&out, j);
+    println!("wrote {out}");
+    gates.exit_on_failure();
 }
 
 /// The pre-PR-5 buffer pool, replicated inline for an honest
@@ -437,13 +381,6 @@ impl OldPool {
     }
 }
 
-fn xorshift(s: &mut u64) -> u64 {
-    *s ^= *s << 13;
-    *s ^= *s >> 7;
-    *s ^= *s << 17;
-    *s
-}
-
 /// Allocates `n` zeroed pages directly in a store.
 fn alloc_pages(store: &mut MemPageStore, n: usize) -> Vec<PageId> {
     (0..n).map(|_| store.allocate().expect("alloc")).collect()
@@ -459,7 +396,7 @@ fn bench_pool_pair(block: usize, cap: usize, set: usize, ops: u64) -> (f64, f64)
     let t0 = Instant::now();
     let mut acc = 0u64;
     for _ in 0..ops {
-        let id = ids[(xorshift(&mut seed) % set as u64) as usize];
+        let id = ids[(xorshift64_star(&mut seed) % set as u64) as usize];
         acc = acc.wrapping_add(old.with_page(id, |b| b[0] as u64));
     }
     let old_rate = ops as f64 / t0.elapsed().as_secs_f64();
@@ -472,7 +409,7 @@ fn bench_pool_pair(block: usize, cap: usize, set: usize, ops: u64) -> (f64, f64)
     let t0 = Instant::now();
     let mut acc = 0u64;
     for _ in 0..ops {
-        let id = ids[(xorshift(&mut seed) % set as u64) as usize];
+        let id = ids[(xorshift64_star(&mut seed) % set as u64) as usize];
         acc = acc.wrapping_add(pool.with_page(id, |b| b[0] as u64).expect("read"));
     }
     let new_rate = ops as f64 / t0.elapsed().as_secs_f64();
@@ -504,7 +441,7 @@ fn bench_pool_concurrent(block: usize, cap: usize, ops_per_thread: u64) -> (f64,
                 barrier.wait();
                 let mut acc = 0u64;
                 for _ in 0..ops_per_thread {
-                    let id = mine[(xorshift(&mut seed) % per as u64) as usize];
+                    let id = mine[(xorshift64_star(&mut seed) % per as u64) as usize];
                     acc =
                         acc.wrapping_add(old.lock().expect("lock").with_page(id, |b| b[0] as u64));
                 }
@@ -532,7 +469,7 @@ fn bench_pool_concurrent(block: usize, cap: usize, ops_per_thread: u64) -> (f64,
                 barrier.wait();
                 let mut acc = 0u64;
                 for _ in 0..ops_per_thread {
-                    let id = mine[(xorshift(&mut seed) % per as u64) as usize];
+                    let id = mine[(xorshift64_star(&mut seed) % per as u64) as usize];
                     acc = acc.wrapping_add(pool.with_page(id, |b| b[0] as u64).expect("read"));
                 }
                 std::hint::black_box(acc);

@@ -40,63 +40,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ccam_bench::report::{self, die, percentile, Args, Gates, Obj, OrDie};
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
 use ccam_graph::NodeId;
 use ccam_storage::{MemPageStore, PageStore, WalStore};
-
-struct Config {
-    seconds: u64,
-    readers: usize,
-    seed: u64,
-    out: String,
-    max_ratio: f64,
-    floor_us: u64,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        seconds: 6,
-        readers: 2,
-        seed: 42,
-        out: "BENCH_PR8.json".to_string(),
-        max_ratio: 2.0,
-        floor_us: 300,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).unwrap_or_else(|| die("missing value")).clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seconds" => cfg.seconds = value(&mut i).parse().unwrap_or(6),
-            "--readers" => cfg.readers = value(&mut i).parse().unwrap_or(2),
-            "--seed" => cfg.seed = value(&mut i).parse().unwrap_or(42),
-            "--out" => cfg.out = value(&mut i),
-            "--max-ratio" => cfg.max_ratio = value(&mut i).parse().unwrap_or(2.0),
-            "--floor-us" => cfg.floor_us = value(&mut i).parse().unwrap_or(300),
-            other => die(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    cfg
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("reorg_stall: {msg}");
-    std::process::exit(2);
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 /// One measurement phase: `readers` closed-loop reader threads for
 /// `secs`, each iteration = pin a snapshot + probe reads, returning
@@ -115,16 +64,13 @@ fn measure<S: PageStore>(
                     let mut lat = Vec::with_capacity(1 << 16);
                     while Instant::now() < deadline {
                         let start = Instant::now();
-                        let snap = db.read().unwrap_or_else(|e| die(&format!("pin: {e}")));
+                        let snap = db.read().or_die("pin");
                         for &id in probes {
-                            let found =
-                                snap.find(id).unwrap_or_else(|e| die(&format!("find: {e}")));
+                            let found = snap.find(id).or_die("find");
                             if found.is_none() {
                                 die("probe node vanished from a committed snapshot");
                             }
-                            let succ = snap
-                                .get_successors(id)
-                                .unwrap_or_else(|e| die(&format!("successors: {e}")));
+                            let succ = snap.get_successors(id).or_die("successors");
                             std::hint::black_box(succ);
                         }
                         lat.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -143,7 +89,14 @@ fn measure<S: PageStore>(
 }
 
 fn main() {
-    let cfg = parse_args();
+    let mut a = Args::from_env();
+    let seconds: u64 = a.get("--seconds", 6);
+    let readers: usize = a.get("--readers", 2);
+    let seed: u64 = a.get("--seed", 42);
+    let out: String = a.get("--out", "BENCH_PR8.json".to_string());
+    let max_ratio: f64 = a.get("--max-ratio", 2.0);
+    let floor_us: u64 = a.get("--floor-us", 300);
+    a.finish();
     let net = road_map(&RoadMapConfig {
         grid_w: 20,
         grid_h: 20,
@@ -152,7 +105,7 @@ fn main() {
         target_directed: 1150,
         cell: 64,
         jitter: 24,
-        seed: cfg.seed,
+        seed,
     });
     let ids = net.node_ids();
     let probes: Vec<NodeId> = (0..8).map(|k| ids[k * ids.len() / 8]).collect();
@@ -162,23 +115,21 @@ fn main() {
     let wal_path =
         std::env::temp_dir().join(format!("ccam-reorg-stall-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal_path);
-    let mem = MemPageStore::new(1024).unwrap_or_else(|e| die(&format!("store: {e}")));
-    let wal = WalStore::create(mem, &wal_path).unwrap_or_else(|e| die(&format!("wal: {e}")));
+    let mem = MemPageStore::new(1024).or_die("store");
+    let wal = WalStore::create(mem, &wal_path).or_die("wal");
     let mut am = CcamBuilder::new(1024)
         .build_static_on(wal, &net)
-        .unwrap_or_else(|e| die(&format!("build: {e}")));
-    let native = am
-        .enable_snapshots()
-        .unwrap_or_else(|e| die(&format!("enable snapshots: {e}")));
+        .or_die("build");
+    let native = am.enable_snapshots().or_die("enable snapshots");
     if !native {
         die("WAL stack must expose native page versioning");
     }
-    let db = Arc::new(EpochCell::new(am).unwrap_or_else(|e| die(&format!("publish: {e}"))));
+    let db = Arc::new(EpochCell::new(am).or_die("publish"));
 
-    let half = Duration::from_secs(cfg.seconds) / 2;
+    let half = Duration::from_secs(seconds) / 2;
 
     // Phase 1 — quiescent baseline.
-    let quiescent = measure(&db, &probes, cfg.readers, half);
+    let quiescent = measure(&db, &probes, readers, half);
 
     // Phase 2 — same workload while the writer reorganizes in a loop.
     let stop = AtomicBool::new(false);
@@ -191,12 +142,9 @@ fn main() {
         s.spawn(move || {
             while !stop_ref.load(Ordering::Relaxed) {
                 let started = Instant::now();
-                let mut w = db_ref
-                    .write()
-                    .unwrap_or_else(|e| die(&format!("writer: {e}")));
-                w.reorganize_full()
-                    .unwrap_or_else(|e| die(&format!("reorganize: {e}")));
-                w.commit().unwrap_or_else(|e| die(&format!("commit: {e}")));
+                let mut w = db_ref.write().or_die("writer");
+                w.reorganize_full().or_die("reorganize");
+                w.commit().or_die("commit");
                 busy_ref.fetch_add(
                     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
                     Ordering::Relaxed,
@@ -204,50 +152,74 @@ fn main() {
                 reorgs_ref.fetch_add(1, Ordering::Relaxed);
             }
         });
-        let churn = measure(&db, &probes, cfg.readers, half);
+        let churn = measure(&db, &probes, readers, half);
         stop.store(true, Ordering::Relaxed);
         churn
     });
     let reorgs = reorgs.load(Ordering::Relaxed);
-    if reorgs == 0 {
-        die("writer completed no reorganizations — churn phase measured nothing");
-    }
-    if db.epoch() != epoch_before + reorgs {
-        die("epoch must advance once per committed reorganization");
-    }
+    let epochs = db.epoch() - epoch_before;
 
     let q_p50 = percentile(&quiescent, 0.50);
     let q_p99 = percentile(&quiescent, 0.99);
     let c_p50 = percentile(&churn, 0.50);
     let c_p99 = percentile(&churn, 0.99);
     let ratio = c_p99 as f64 / q_p99.max(1) as f64;
-    let floor_ns = cfg.floor_us * 1_000;
+    let floor_ns = floor_us * 1_000;
     let avg_reorg_ns = busy_ns.load(Ordering::Relaxed) / reorgs.max(1);
     // Two ways to pass: the tight multi-core gate, or the
     // machine-independent "no reader waited out a writer critical
     // section" bound (see module docs).
-    let pass = c_p99 as f64 <= (q_p99 as f64 * cfg.max_ratio).max(floor_ns as f64)
+    let pass = c_p99 as f64 <= (q_p99 as f64 * max_ratio).max(floor_ns as f64)
         || c_p99.saturating_mul(4) <= avg_reorg_ns;
+    let us = |ns: u64| report::fixed(ns as f64 / 1_000.0, 1);
 
-    let json = format!(
-        "{{\n  \"bench\": \"reorg_stall\",\n  \"config\": {{\n    \"seed\": {},\n    \"seconds\": {},\n    \"readers\": {},\n    \"max_ratio\": {},\n    \"floor_us\": {}\n  }},\n  \"results\": {{\n    \"quiescent_reads\": {},\n    \"churn_reads\": {},\n    \"reorganizations\": {},\n    \"quiescent_p50_us\": {:.1},\n    \"quiescent_p99_us\": {:.1},\n    \"churn_p50_us\": {:.1},\n    \"churn_p99_us\": {:.1},\n    \"p99_ratio\": {:.2},\n    \"avg_reorg_ms\": {:.1},\n    \"pass\": {}\n  }}\n}}\n",
-        cfg.seed,
-        cfg.seconds,
-        cfg.readers,
-        cfg.max_ratio,
-        cfg.floor_us,
-        quiescent.len(),
-        churn.len(),
-        reorgs,
-        q_p50 as f64 / 1_000.0,
-        q_p99 as f64 / 1_000.0,
-        c_p50 as f64 / 1_000.0,
-        c_p99 as f64 / 1_000.0,
-        ratio,
-        avg_reorg_ns as f64 / 1_000_000.0,
-        pass,
+    let mut gates = Gates::default();
+    gates.at_least("reorganizations", reorgs, 1);
+    gates.check(
+        "epoch_per_commit",
+        epochs == reorgs,
+        format!("epoch advanced {epochs} times for {reorgs} commits"),
     );
-    std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("--out {}: {e}", cfg.out)));
+    gates.check(
+        "reader_stall",
+        pass,
+        format!(
+            "churn p99 {:.1}us exceeds {max_ratio}x quiescent p99 {:.1}us (floor {floor_us}us) \
+             and a quarter of the avg reorganization ({:.1}ms) — readers are stalling on the writer",
+            c_p99 as f64 / 1_000.0,
+            q_p99 as f64 / 1_000.0,
+            avg_reorg_ns as f64 / 1_000_000.0,
+        ),
+    );
+
+    let config = Obj::new()
+        .set("seed", seed)
+        .set("seconds", seconds)
+        .set("readers", readers)
+        .set("max_ratio", max_ratio)
+        .set("floor_us", floor_us);
+    let results = Obj::new()
+        .set("quiescent_reads", quiescent.len())
+        .set("churn_reads", churn.len())
+        .set("reorganizations", reorgs)
+        .set("quiescent_p50_us", us(q_p50))
+        .set("quiescent_p99_us", us(q_p99))
+        .set("churn_p50_us", us(c_p50))
+        .set("churn_p99_us", us(c_p99))
+        .set("p99_ratio", report::fixed(ratio, 2))
+        .set(
+            "avg_reorg_ms",
+            report::fixed(avg_reorg_ns as f64 / 1_000_000.0, 1),
+        )
+        .set("pass", pass);
+    report::write_report(
+        &out,
+        Obj::new()
+            .set("bench", "reorg_stall")
+            .set("config", config)
+            .set("results", results)
+            .set("gates", gates.to_json()),
+    );
     let _ = std::fs::remove_file(&wal_path);
     println!(
         "quiescent p99 {:.1}us  churn p99 {:.1}us  ratio {:.2}  ({} reorganizations, avg {:.1}ms each)",
@@ -257,17 +229,6 @@ fn main() {
         reorgs,
         avg_reorg_ns as f64 / 1_000_000.0,
     );
-    if !pass {
-        eprintln!(
-            "reorg_stall: churn p99 {:.1}us exceeds {}x quiescent p99 {:.1}us (floor {}us) \
-             and a quarter of the avg reorganization ({:.1}ms) — readers are stalling on the writer",
-            c_p99 as f64 / 1_000.0,
-            cfg.max_ratio,
-            q_p99 as f64 / 1_000.0,
-            cfg.floor_us,
-            avg_reorg_ns as f64 / 1_000_000.0,
-        );
-        std::process::exit(1);
-    }
+    gates.exit_on_failure();
     eprintln!("reorg_stall: readers unaffected by reorganization churn");
 }

@@ -29,7 +29,7 @@
 //!   after the handoff catch-up.
 //!
 //! Exit is non-zero unless every SLO holds: zero digest divergence at
-//! every sync point, follower reads observed during primary downtime,
+//! each of the 4 sync points, follower reads during primary downtime,
 //! catch-up after each disruption within `--max-catchup-ms`, an image
 //! handoff observed, and read/write error budgets respected.
 
@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use ccam_bench::report::{self, die, Args, Gates, Obj, OrDie};
 use ccam_core::epoch::EpochCell;
 use ccam_core::{AccessMethod, Ccam, CcamBuilder};
 use ccam_graph::roadmap::{road_map, RoadMapConfig};
@@ -53,51 +54,9 @@ use rand::{RngExt, SeedableRng};
 
 type Db = WalStore<FilePageStore>;
 
-struct Config {
-    seed: u64,
-    phase_ms: u64,
-    out: String,
-    max_catchup_ms: u64,
-    read_error_budget_per_1024: u64,
-    write_error_budget: u64,
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        seed: 42,
-        phase_ms: 1_000,
-        out: "BENCH_PR9.json".to_string(),
-        max_catchup_ms: 10_000,
-        read_error_budget_per_1024: 16,
-        write_error_budget: 2,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).unwrap_or_else(|| die("missing value")).clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => cfg.seed = value(&mut i).parse().unwrap_or(42),
-            "--phase-ms" => cfg.phase_ms = value(&mut i).parse().unwrap_or(1_000),
-            "--out" => cfg.out = value(&mut i),
-            "--max-catchup-ms" => cfg.max_catchup_ms = value(&mut i).parse().unwrap_or(10_000),
-            "--read-error-budget-per-1024" => {
-                cfg.read_error_budget_per_1024 = value(&mut i).parse().unwrap_or(16)
-            }
-            "--write-error-budget" => cfg.write_error_budget = value(&mut i).parse().unwrap_or(2),
-            other => die(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    cfg
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("repl_chaos: {msg}");
-    std::process::exit(2);
-}
+/// Sync points that run a digest parity check: warmup, link faults,
+/// primary crash and stale-LSN restart.
+const PARITY_CHECKS_MIN: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // Replication-link proxy: the follower subscribes through this, so the
@@ -115,8 +74,7 @@ struct Proxy {
 
 impl Proxy {
     fn start(upstream: Arc<Mutex<String>>) -> Proxy {
-        let listener =
-            TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| die(&format!("proxy: {e}")));
+        let listener = TcpListener::bind("127.0.0.1:0").or_die("proxy");
         let addr = listener.local_addr().unwrap().to_string();
         let stall = Arc::new(AtomicBool::new(false));
         let stop = Arc::new(AtomicBool::new(false));
@@ -255,39 +213,31 @@ fn start_primary(
     let (store, replayed) = match net {
         Some(_) => (
             WalStore::create(
-                FilePageStore::create(db_path, 1024)
-                    .unwrap_or_else(|e| die(&format!("create: {e}"))),
+                FilePageStore::create(db_path, 1024).or_die("create"),
                 wal_path,
             )
-            .unwrap_or_else(|e| die(&format!("wal create: {e}"))),
+            .or_die("wal create"),
             0,
         ),
         None => {
             // Restart after a crash: reopen page file + WAL, replaying
             // committed batches the crash left unapplied.
-            let inner =
-                FilePageStore::open(db_path).unwrap_or_else(|e| die(&format!("reopen: {e}")));
-            let (ws, report) =
-                WalStore::open(inner, wal_path).unwrap_or_else(|e| die(&format!("recover: {e}")));
+            let inner = FilePageStore::open(db_path).or_die("reopen");
+            let (ws, report) = WalStore::open(inner, wal_path).or_die("recover");
             (ws, report.replayed_batches)
         }
     };
     let builder = CcamBuilder::new(1024);
     let mut am = match net {
-        Some(net) => builder
-            .build_static_on(store, net)
-            .unwrap_or_else(|e| die(&format!("build: {e}"))),
-        None => builder
-            .open_on(store)
-            .unwrap_or_else(|e| die(&format!("open: {e}"))),
+        Some(net) => builder.build_static_on(store, net).or_die("build"),
+        None => builder.open_on(store).or_die("open"),
     };
     am.file_mut().set_auto_commit(true);
     am.file()
         .pool()
         .with_store_mut(|s| s.set_max_wal_bytes(Some(256 << 10)));
-    am.enable_snapshots()
-        .unwrap_or_else(|e| die(&format!("snapshots: {e}")));
-    let cell = Arc::new(EpochCell::new(am).unwrap_or_else(|e| die(&format!("publish: {e}"))));
+    am.enable_snapshots().or_die("snapshots");
+    let cell = Arc::new(EpochCell::new(am).or_die("publish"));
     let handle = Server::start(
         cell,
         ServerConfig {
@@ -298,7 +248,7 @@ fn start_primary(
             ..ServerConfig::default()
         },
     )
-    .unwrap_or_else(|e| die(&format!("primary start: {e}")));
+    .or_die("primary start");
     (handle, replayed)
 }
 
@@ -313,26 +263,22 @@ fn start_follower(
     let builder = CcamBuilder::new(1024);
     let mut am = if fresh {
         let store = WalStore::create(
-            FilePageStore::create(db_path, 1024).unwrap_or_else(|e| die(&format!("f create: {e}"))),
+            FilePageStore::create(db_path, 1024).or_die("f create"),
             wal_path,
         )
-        .unwrap_or_else(|e| die(&format!("f wal: {e}")));
+        .or_die("f wal");
         // A follower starts empty and catches up entirely over the wire.
         builder
             .build_static_on(store, &Network::new())
-            .unwrap_or_else(|e| die(&format!("f build: {e}")))
+            .or_die("f build")
     } else {
-        let inner = FilePageStore::open(db_path).unwrap_or_else(|e| die(&format!("f reopen: {e}")));
-        let (ws, _report) =
-            WalStore::open(inner, wal_path).unwrap_or_else(|e| die(&format!("f recover: {e}")));
-        builder
-            .open_on(ws)
-            .unwrap_or_else(|e| die(&format!("f open: {e}")))
+        let inner = FilePageStore::open(db_path).or_die("f reopen");
+        let (ws, _report) = WalStore::open(inner, wal_path).or_die("f recover");
+        builder.open_on(ws).or_die("f open")
     };
     am.file_mut().set_auto_commit(true);
-    am.enable_snapshots()
-        .unwrap_or_else(|e| die(&format!("f snapshots: {e}")));
-    let cell = Arc::new(EpochCell::new(am).unwrap_or_else(|e| die(&format!("f publish: {e}"))));
+    am.enable_snapshots().or_die("f snapshots");
+    let cell = Arc::new(EpochCell::new(am).or_die("f publish"));
     Server::start(
         cell,
         ServerConfig {
@@ -345,7 +291,7 @@ fn start_follower(
             ..ServerConfig::default()
         },
     )
-    .unwrap_or_else(|e| die(&format!("follower start: {e}")))
+    .or_die("follower start")
 }
 
 // ---------------------------------------------------------------------------
@@ -528,51 +474,56 @@ fn run_writer(board: &Board, flags: &Flags, ids: &[NodeId], seed: u64) -> WriteT
 
 struct Harness<'a> {
     flags: &'a Flags,
-    violations: Mutex<Vec<String>>,
-    parity_checks: AtomicU64,
-    parity_failures: AtomicU64,
+    gates: Gates,
+    parity_checks: u64,
+    parity_failures: u64,
 }
 
 impl Harness<'_> {
-    fn violation(&self, msg: String) {
-        eprintln!("repl_chaos: SLO VIOLATION — {msg}");
-        self.violations.lock().unwrap().push(msg);
-    }
-
     /// Quiesce the writer, wait for full catch-up, then compare the
-    /// generation digests. Any mismatch is divergence — an SLO failure.
+    /// generation digests. Any mismatch is divergence — an SLO failure
+    /// recorded as gate `parity_<name>`.
     fn parity_check(
-        &self,
+        &mut self,
         primary: &ServerHandle<Db>,
         follower: &ServerHandle<Db>,
         bound: Duration,
-        what: &str,
+        name: &str,
     ) {
         self.flags.pause_writer.store(true, Ordering::Release);
         while !self.flags.writer_idle.load(Ordering::Acquire) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        self.parity_checks.fetch_add(1, Ordering::Relaxed);
-        if await_catch_up(primary, follower, bound).is_none() {
-            self.parity_failures.fetch_add(1, Ordering::Relaxed);
-            self.violation(format!("{what}: catch-up timed out before parity check"));
+        self.parity_checks += 1;
+        let failure = if await_catch_up(primary, follower, bound).is_none() {
+            Some("catch-up timed out before parity check".to_string())
         } else {
             let p = primary.db().read().map(|g| digest(&g)).unwrap_or(0);
             let f = follower.db().read().map(|g| digest(&g)).unwrap_or(1);
-            if p != f {
-                self.parity_failures.fetch_add(1, Ordering::Relaxed);
-                self.violation(format!("{what}: digest divergence ({p:#x} != {f:#x})"));
-            }
-        }
+            (p != f).then(|| format!("digest divergence ({p:#x} != {f:#x})"))
+        };
+        self.parity_failures += u64::from(failure.is_some());
+        self.gates.check(
+            &format!("parity_{name}"),
+            failure.is_none(),
+            failure.unwrap_or_default(),
+        );
         self.flags.pause_writer.store(false, Ordering::Release);
     }
 }
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let cfg = parse_args();
-    let phase = Duration::from_millis(cfg.phase_ms);
-    let catchup_bound = Duration::from_millis(cfg.max_catchup_ms);
+    let mut a = Args::from_env();
+    let seed: u64 = a.get("--seed", 42);
+    let phase_ms: u64 = a.get("--phase-ms", 1_000);
+    let out: String = a.get("--out", "BENCH_PR9.json".to_string());
+    let max_catchup_ms: u64 = a.get("--max-catchup-ms", 10_000);
+    let read_error_budget_per_1024: u64 = a.get("--read-error-budget-per-1024", 16);
+    let write_error_budget: u64 = a.get("--write-error-budget", 2);
+    a.finish();
+    let phase = Duration::from_millis(phase_ms);
+    let catchup_bound = Duration::from_millis(max_catchup_ms);
     let net = road_map(&RoadMapConfig {
         grid_w: 16,
         grid_h: 16,
@@ -587,7 +538,7 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("ccam-repl-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| die(&format!("tempdir: {e}")));
+    std::fs::create_dir_all(&dir).or_die("tempdir");
     let p_db = dir.join("p.db");
     let p_wal = dir.join("p.db.wal");
     let f_db = dir.join("f.db");
@@ -598,7 +549,7 @@ fn main() {
     let (primary, _) = start_primary(&p_db, &p_wal, Some(&net));
     let upstream = Arc::new(Mutex::new(primary.repl_addr().unwrap().to_string()));
     let proxy = Proxy::start(Arc::clone(&upstream));
-    let follower = start_follower(&f_db, &f_wal, &f_lsn, &proxy.addr, cfg.seed, true);
+    let follower = start_follower(&f_db, &f_wal, &f_lsn, &proxy.addr, seed, true);
 
     let board = Board {
         primary_client: Mutex::new(primary.local_addr().to_string()),
@@ -611,23 +562,23 @@ fn main() {
         writer_idle: AtomicBool::new(false),
         primary_down: AtomicBool::new(false),
     };
-    let harness = Harness {
+    let mut harness = Harness {
         flags: &flags,
-        violations: Mutex::new(Vec::new()),
-        parity_checks: AtomicU64::new(0),
-        parity_failures: AtomicU64::new(0),
+        gates: Gates::default(),
+        parity_checks: 0,
+        parity_failures: 0,
     };
     eprintln!(
         "repl_chaos: seed {} — primary {} / follower {} via proxy {}",
-        cfg.seed,
+        seed,
         primary.local_addr(),
         follower.local_addr(),
         proxy.addr
     );
 
     let wall = Instant::now();
-    let mut crash_catchup_ms = 0u64;
-    let mut stale_catchup_ms = 0u64;
+    let mut crash_catchup = None;
+    let mut stale_catchup = None;
     let mut recovery_replayed = 0u64;
     let mut downtime_ms = 0u64;
     let mut early_disconnects = 0u64;
@@ -639,12 +590,12 @@ fn main() {
         let readers: Vec<_> = (0..2)
             .map(|i| {
                 let (board, flags, ids) = (&board, &flags, &ids[..]);
-                s.spawn(move || run_reader(board, flags, ids, cfg.seed + 100 + i))
+                s.spawn(move || run_reader(board, flags, ids, seed + 100 + i))
             })
             .collect();
         let writer = {
             let (board, flags, ids) = (&board, &flags, &ids[..]);
-            s.spawn(move || run_writer(board, flags, ids, cfg.seed))
+            s.spawn(move || run_writer(board, flags, ids, seed))
         };
 
         // Phase 1 — warmup: cold catch-up from empty, then parity.
@@ -661,15 +612,16 @@ fn main() {
         std::thread::sleep(phase / 2);
         proxy.cut();
         std::thread::sleep(phase / 2);
-        harness.parity_check(&primary, &follower, catchup_bound, "link faults");
+        harness.parity_check(&primary, &follower, catchup_bound, "link_faults");
 
         // Phase 3 — primary crash + WAL recovery restart. No
         // checkpoint before teardown: the reopen must replay the WAL.
         flags.primary_down.store(true, Ordering::Release);
         let down_at = Instant::now();
-        if primary.shutdown().is_err() {
-            harness.violation("primary teardown did not drain".to_string());
-        }
+        let drained = primary.shutdown().is_ok();
+        harness
+            .gates
+            .check("primary_teardown_drained", drained, "unclean drain");
         proxy.cut();
         std::thread::sleep(phase);
         let (p2, replayed) = start_primary(&p_db, &p_wal, None);
@@ -683,12 +635,9 @@ fn main() {
         std::thread::sleep(Duration::from_millis(300));
         flags.primary_down.store(false, Ordering::Release);
         downtime_ms = down_at.elapsed().as_millis() as u64;
-        match await_catch_up(&primary, &follower, catchup_bound) {
-            Some(ms) => crash_catchup_ms = ms,
-            None => harness.violation("crash recovery: follower never caught up".to_string()),
-        }
+        crash_catchup = await_catch_up(&primary, &follower, catchup_bound);
         std::thread::sleep(phase / 2);
-        harness.parity_check(&primary, &follower, catchup_bound, "primary crash");
+        harness.parity_check(&primary, &follower, catchup_bound, "primary_crash");
 
         // Phase 4 — follower restart from a stale LSN, against a
         // checkpointed primary: the retained tail no longer covers the
@@ -697,10 +646,11 @@ fn main() {
         // fault counters forward first.)
         early_disconnects = follower.metrics().counter("serve.repl.disconnects");
         early_segments = follower.metrics().counter("serve.repl.segments");
-        if follower.shutdown().is_err() {
-            harness.violation("follower teardown did not drain".to_string());
-        }
-        std::fs::write(&f_lsn, "1").unwrap_or_else(|e| die(&format!("rewind sidecar: {e}")));
+        let drained = follower.shutdown().is_ok();
+        harness
+            .gates
+            .check("follower_teardown_drained", drained, "unclean drain");
+        std::fs::write(&f_lsn, "1").or_die("rewind sidecar");
         // Fresh follower state: the image handoff path must rebuild it.
         let _ = std::fs::remove_file(&f_db);
         let _ = std::fs::remove_file(&f_wal);
@@ -708,7 +658,7 @@ fn main() {
         // With the subscriber gone, checkpoint until the WAL tail
         // starts past the stale position.
         let ckpt_deadline = Instant::now() + Duration::from_secs(10);
-        loop {
+        let checkpointed = loop {
             let truncated = primary
                 .db()
                 .write()
@@ -721,23 +671,21 @@ fn main() {
                 })
                 .is_some_and(|i| i.tail_start_lsn > 2);
             if truncated {
-                break;
+                break true;
             }
             if Instant::now() > ckpt_deadline {
-                harness.violation("could not checkpoint past the stale LSN".to_string());
-                break;
+                break false;
             }
             std::thread::sleep(Duration::from_millis(50));
-        }
-        follower = start_follower(&f_db, &f_wal, &f_lsn, &proxy.addr, cfg.seed + 1, true);
+        };
+        let why = "WAL tail not past the stale LSN";
+        harness.gates.check("stale_checkpoint", checkpointed, why);
+        follower = start_follower(&f_db, &f_wal, &f_lsn, &proxy.addr, seed + 1, true);
         *board.follower_client.lock().unwrap() = follower.local_addr().to_string();
         board.generation.fetch_add(1, Ordering::Release);
-        match await_catch_up(&primary, &follower, catchup_bound) {
-            Some(ms) => stale_catchup_ms = ms,
-            None => harness.violation("stale restart: follower never caught up".to_string()),
-        }
+        stale_catchup = await_catch_up(&primary, &follower, catchup_bound);
         std::thread::sleep(phase / 2);
-        harness.parity_check(&primary, &follower, catchup_bound, "stale-LSN restart");
+        harness.parity_check(&primary, &follower, catchup_bound, "stale_restart");
 
         flags.stop.store(true, Ordering::Release);
         let mut reads = ReadTally::default();
@@ -761,95 +709,77 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // ----- SLO gates ------------------------------------------------------
-    if writes.ok == 0 {
-        harness.violation("no successful writes".to_string());
-    }
-    if reads.ok == 0 {
-        harness.violation("no successful reads".to_string());
-    }
-    if reads.downtime_ok == 0 {
-        harness.violation("follower served no reads during primary downtime".to_string());
-    }
-    if image_handoffs == 0 {
-        harness.violation("stale-LSN restart produced no image handoff".to_string());
-    }
-    if crash_catchup_ms > cfg.max_catchup_ms {
-        harness.violation(format!(
-            "crash catch-up {crash_catchup_ms}ms over bound {}ms",
-            cfg.max_catchup_ms
-        ));
-    }
-    if stale_catchup_ms > cfg.max_catchup_ms {
-        harness.violation(format!(
-            "stale-restart catch-up {stale_catchup_ms}ms over bound {}ms",
-            cfg.max_catchup_ms
-        ));
+    let mut gates = harness.gates;
+    let (parity_checks, parity_failures) = (harness.parity_checks, harness.parity_failures);
+    gates.at_least("parity_checks", parity_checks, PARITY_CHECKS_MIN);
+    gates.at_least("writes_ok", writes.ok, 1);
+    gates.at_least("reads_ok", reads.ok, 1);
+    gates.at_least("reads_during_downtime", reads.downtime_ok, 1);
+    gates.at_least("image_handoffs", image_handoffs, 1);
+    for (name, catchup) in [
+        ("crash_catchup_ms", crash_catchup),
+        ("stale_restart_catchup_ms", stale_catchup),
+    ] {
+        let msg = catchup.map_or("never caught up".into(), |ms| format!("{ms}ms"));
+        let ok = catchup.is_some_and(|ms| ms <= max_catchup_ms);
+        gates.check(name, ok, format!("{msg} (want <= {max_catchup_ms}ms)"));
     }
     let total_reads = reads.ok + reads.failed;
-    let read_budget = (total_reads.max(1) * cfg.read_error_budget_per_1024) / 1024;
-    if reads.failed > read_budget {
-        harness.violation(format!(
-            "{} read failures exceed budget {read_budget}",
-            reads.failed
-        ));
-    }
-    if writes.failed_outside > cfg.write_error_budget {
-        harness.violation(format!(
-            "{} write failures outside downtime exceed budget {}",
-            writes.failed_outside, cfg.write_error_budget
-        ));
-    }
-    if !graceful {
-        harness.violation("final shutdown did not drain cleanly".to_string());
-    }
-    let violations = harness.violations.into_inner().unwrap();
-
-    let json = format!(
-        "{{\n  \"bench\": \"repl_chaos\",\n  \"config\": {{\n    \"seed\": {},\n    \"phase_ms\": {},\n    \"max_catchup_ms\": {}\n  }},\n  \"results\": {{\n    \"elapsed_s\": {:.1},\n    \"writes_ok\": {},\n    \"writes_failed_in_downtime\": {},\n    \"writes_failed_outside\": {},\n    \"reads_ok\": {},\n    \"reads_failed\": {},\n    \"reads_during_downtime\": {},\n    \"parity_checks\": {},\n    \"parity_failures\": {},\n    \"primary_downtime_ms\": {},\n    \"crash_catchup_ms\": {},\n    \"stale_restart_catchup_ms\": {},\n    \"recovery_replayed_batches\": {},\n    \"image_handoffs\": {},\n    \"segments_applied\": {},\n    \"follower_disconnects\": {},\n    \"graceful_drain\": {},\n    \"slo_violations\": {}\n  }}\n}}\n",
-        cfg.seed,
-        cfg.phase_ms,
-        cfg.max_catchup_ms,
-        elapsed,
-        writes.ok,
-        writes.failed_in_downtime,
+    let read_budget = (total_reads.max(1) * read_error_budget_per_1024) / 1024;
+    gates.at_most("reads_failed", reads.failed, read_budget);
+    gates.at_most(
+        "writes_failed_outside",
         writes.failed_outside,
-        reads.ok,
-        reads.failed,
-        reads.downtime_ok,
-        harness.parity_checks.load(Ordering::Relaxed),
-        harness.parity_failures.load(Ordering::Relaxed),
-        downtime_ms,
-        crash_catchup_ms,
-        stale_catchup_ms,
-        recovery_replayed,
-        image_handoffs,
-        segments_applied,
-        follower_disconnects,
-        graceful,
-        violations.len(),
+        write_error_budget,
     );
-    std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("--out {}: {e}", cfg.out)));
+    gates.check("graceful_drain", graceful, "final shutdown did not drain");
+
+    let crash_catchup_ms = crash_catchup.unwrap_or(0);
+    let stale_catchup_ms = stale_catchup.unwrap_or(0);
+    let config = Obj::new()
+        .set("seed", seed)
+        .set("phase_ms", phase_ms)
+        .set("max_catchup_ms", max_catchup_ms);
+    let results = Obj::new()
+        .set("elapsed_s", report::fixed(elapsed, 1))
+        .set("writes_ok", writes.ok)
+        .set("writes_failed_in_downtime", writes.failed_in_downtime)
+        .set("writes_failed_outside", writes.failed_outside)
+        .set("reads_ok", reads.ok)
+        .set("reads_failed", reads.failed)
+        .set("reads_during_downtime", reads.downtime_ok)
+        .set("parity_checks", parity_checks)
+        .set("parity_failures", parity_failures)
+        .set("primary_downtime_ms", downtime_ms)
+        .set("crash_catchup_ms", crash_catchup_ms)
+        .set("stale_restart_catchup_ms", stale_catchup_ms)
+        .set("recovery_replayed_batches", recovery_replayed)
+        .set("image_handoffs", image_handoffs)
+        .set("segments_applied", segments_applied)
+        .set("follower_disconnects", follower_disconnects)
+        .set("graceful_drain", graceful)
+        .set("slo_violations", gates.failures());
+    report::write_report(
+        &out,
+        Obj::new()
+            .set("bench", "repl_chaos")
+            .set("config", config)
+            .set("results", results)
+            .set("gates", gates.to_json()),
+    );
     println!(
         "writes {} reads {} (downtime {})  parity {}/{}  catch-up crash {}ms stale {}ms  handoffs {}  replayed {}",
         writes.ok,
         reads.ok,
         reads.downtime_ok,
-        harness.parity_checks.load(Ordering::Relaxed)
-            - harness.parity_failures.load(Ordering::Relaxed),
-        harness.parity_checks.load(Ordering::Relaxed),
+        parity_checks - parity_failures,
+        parity_checks,
         crash_catchup_ms,
         stale_catchup_ms,
         image_handoffs,
         recovery_replayed,
     );
     let _ = std::io::stdout().flush();
-
-    if violations.is_empty() {
-        eprintln!("repl_chaos: all SLOs held");
-    } else {
-        for v in &violations {
-            eprintln!("repl_chaos: SLO VIOLATION — {v}");
-        }
-        std::process::exit(1);
-    }
+    gates.exit_on_failure();
+    eprintln!("repl_chaos: all SLOs held");
 }

@@ -6,9 +6,11 @@ use ccam_core::am::{AccessMethod, CcamBuilder, GridAm, TopoAm, TraversalOrder};
 use ccam_core::query::route::evaluate_route;
 use ccam_graph::walks::Route;
 use ccam_graph::{roadmap, Network, NodeId};
+use ccam_partition::PartGraph;
+use ccam_server::protocol::Request;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 /// Seed used by every experiment so tables regenerate identically.
 pub const EXPERIMENT_SEED: u64 = 1995;
@@ -116,6 +118,103 @@ pub fn avg_route_io(am: &dyn AccessMethod, routes: &[Route]) -> f64 {
     total as f64 / routes.len() as f64
 }
 
+/// The clustering input `Static-Create()` builds internally for `net`
+/// at `block`-byte pages: the page budget, and a `PartGraph` with each
+/// node's clustering weight and uniform edge weights (the CRR setting).
+pub fn part_graph(net: &Network, block: usize) -> (PartGraph, usize) {
+    let empty = CcamBuilder::new(block).build_empty().expect("empty file");
+    let all: Vec<&ccam_graph::NodeData> = net.nodes().collect();
+    let idx_of: HashMap<NodeId, usize> = all.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+    let sizes = all.iter().map(|n| ccam_core::file::clustering_weight(n));
+    let mut edges = Vec::new();
+    for (i, n) in all.iter().enumerate() {
+        for e in &n.successors {
+            if let Some(&j) = idx_of.get(&e.to) {
+                edges.push((i, j, 1u64));
+            }
+        }
+    }
+    let graph = PartGraph::new(sizes.collect(), &edges);
+    (graph, empty.file().clustering_budget())
+}
+
+/// Request-mix weights of the serving benches, written and parsed as
+/// `find:succ:route:agg` (find : get_successors : route :
+/// range_aggregate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mix(pub [u32; 4]);
+
+impl std::str::FromStr for Mix {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Mix, ()> {
+        let weights: Result<Vec<u32>, _> = s.split(':').map(str::parse).collect();
+        weights
+            .ok()
+            .and_then(|w| w.try_into().ok())
+            .map(Mix)
+            .ok_or(())
+    }
+}
+
+impl std::fmt::Display for Mix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [a, b, c, d] = self.0;
+        write!(f, "{a}:{b}:{c}:{d}")
+    }
+}
+
+/// The seeded request stream of `serve_load` and `chaos_serve`: the
+/// network's node ids plus a pool of up-to-4-hop random walks, sampled
+/// by a [`Mix`].
+pub struct ServeWorkload {
+    pub ids: Vec<NodeId>,
+    walks: Vec<Vec<NodeId>>,
+}
+
+impl ServeWorkload {
+    /// Draws `walks` walks from `net` with `StdRng::seed_from_u64(seed)`.
+    pub fn new(net: &Network, walks: usize, seed: u64) -> ServeWorkload {
+        let ids = net.node_ids();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let walks = (0..walks)
+            .map(|_| {
+                let mut walk = vec![ids[rng.random_range(0..ids.len())]];
+                for _ in 0..4 {
+                    let cur = *walk.last().expect("walk starts non-empty");
+                    let Some(node) = net.node(cur) else { break };
+                    if node.successors.is_empty() {
+                        break;
+                    }
+                    walk.push(node.successors[rng.random_range(0..node.successors.len())].to);
+                }
+                walk
+            })
+            .collect();
+        ServeWorkload { ids, walks }
+    }
+
+    /// One request drawn by `mix`.
+    pub fn sample(&self, rng: &mut StdRng, mix: &Mix) -> Request {
+        let [find, succ, route, _] = mix.0;
+        let total: u32 = mix.0.iter().sum();
+        let pick = rng.random_range(0..total.max(1));
+        let id = self.ids[rng.random_range(0..self.ids.len())];
+        if pick < find {
+            return Request::Find(id);
+        }
+        if pick < find + succ {
+            return Request::GetSuccessors(id);
+        }
+        let walk = &self.walks[rng.random_range(0..self.walks.len())];
+        if pick < find + succ + route {
+            Request::Route(walk.clone())
+        } else {
+            Request::RangeAggregate(walk.windows(2).map(|p| (p[0], p[1])).collect())
+        }
+    }
+}
+
 /// Renders a plain-text table: header row + rows, column-aligned.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -172,6 +271,33 @@ mod tests {
         let id = net.node_ids()[0];
         let (_, io) = measure_io(am.as_mut(), |am| am.find(id).unwrap());
         assert_eq!(io, 1, "cold find reads exactly one data page");
+    }
+
+    /// The sampler is one seeded stream, and each mix weight of 100
+    /// selects its request kind.
+    #[test]
+    fn serve_workload_is_seeded_and_mixed() {
+        let net = ccam_graph::generators::grid_network(6, 6, 1.0);
+        let draw = |seed, mix: &str| {
+            let (w, mix) = (ServeWorkload::new(&net, 16, seed), mix.parse().unwrap());
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..32)
+                .map(|_| w.sample(&mut rng, &mix))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draw(7, "55:25:12:8"), draw(7, "55:25:12:8"));
+        assert_ne!(draw(7, "55:25:12:8"), draw(8, "55:25:12:8"));
+        let routes = draw(7, "0:0:100:0");
+        assert!(routes
+            .iter()
+            .all(|r| matches!(r, Request::Route(w) if !w.is_empty())));
+        let aggs = draw(7, "0:0:0:100");
+        assert!(aggs.iter().all(|r| matches!(r, Request::RangeAggregate(_))));
+        assert_eq!(
+            "55:25:12:8".parse::<Mix>().unwrap().to_string(),
+            "55:25:12:8"
+        );
+        assert!("1:2:3".parse::<Mix>().is_err() && "1:2:x:4".parse::<Mix>().is_err());
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! | `validate_costmodel`      | extra — §3.2 cost-model predictions vs observed I/O per operation class |
 //!
 //! The library part hosts the shared plumbing: building every access
-//! method over the benchmark road map, per-operation I/O measurement and
-//! plain-text table rendering.
+//! method over the benchmark road map, per-operation I/O measurement,
+//! plain-text table rendering and the serving benches' seeded request
+//! stream ([`harness`]), plus the flag parser, JSON report writer and
+//! gate list of the gated benches ([`report`]).
 
 pub mod harness;
+pub mod report;
 
 pub use harness::*;

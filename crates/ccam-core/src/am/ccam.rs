@@ -695,26 +695,12 @@ impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
                 // No native versioning: freeze a one-shot deep copy of
                 // the committed pages (tolerating unreadable ones, which
                 // the view quarantines like the device path would).
-                let page_size = self.file.page_size();
-                let live = self
-                    .file
-                    .pool()
-                    .with_store(ccam_storage::PageStore::live_pages);
-                let mut images = Vec::with_capacity(live.len());
-                let mut buf = vec![0u8; page_size];
-                for p in live {
-                    match self.file.pool().read_uncounted(p, &mut buf) {
-                        Ok(()) => images.push((
-                            p.0,
-                            ccam_storage::PageImage::Bytes(buf.clone().into_boxed_slice()),
-                        )),
-                        Err(StorageError::ChecksumMismatch { .. }) => {
-                            images.push((p.0, ccam_storage::PageImage::Unreadable));
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                let versions = ccam_storage::PageVersions::from_images(page_size, images);
+                let pool = self.file.pool();
+                let versions = ccam_storage::PageVersions::scan(
+                    self.file.page_size(),
+                    pool.with_store(ccam_storage::PageStore::live_pages),
+                    |p, buf| pool.read_uncounted(p, buf),
+                )?;
                 ccam_storage::SnapshotStore::pin(&versions)
             }
         };

@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::recovery::{live_snapshot, replay, RecoveryReport};
-use crate::snapshot::{PageChange, PageImage, PageVersions};
+use crate::snapshot::{PageChange, PageVersions};
 use crate::store::{PageStore, WalInfo};
 use crate::wal::{LogRecord, StampedRecord, Wal};
 
@@ -253,9 +253,10 @@ impl<S: PageStore> WalStore<S> {
     }
 
     /// Turns on multi-version snapshot reads: seeds an in-memory mirror
-    /// of the committed page set with one tolerant scan (pages failing
-    /// their checksum become [`PageImage::Unreadable`] — snapshot reads
-    /// of them degrade exactly like device reads would), after which
+    /// of the committed page set with one tolerant scan
+    /// ([`PageVersions::scan`]: pages failing their checksum are kept as
+    /// unreadable, so snapshot reads of them degrade exactly like device
+    /// reads would), after which
     /// every committed batch is published as a new generation readers
     /// can pin via [`PageStore::page_versions`].
     ///
@@ -269,18 +270,10 @@ impl<S: PageStore> WalStore<S> {
         if self.pending_ops() != 0 || self.logged || self.poisoned {
             return Err(StorageError::Poisoned);
         }
-        let mut images = Vec::new();
-        let mut buf = vec![0u8; self.inner.page_size()];
-        for page in self.inner.live_pages() {
-            match self.inner.read(page, &mut buf) {
-                Ok(()) => images.push((page.0, PageImage::Bytes(buf.clone().into_boxed_slice()))),
-                Err(StorageError::ChecksumMismatch { .. }) => {
-                    images.push((page.0, PageImage::Unreadable));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let versions = PageVersions::from_images(self.inner.page_size(), images);
+        let inner = &self.inner;
+        let versions = PageVersions::scan(inner.page_size(), inner.live_pages(), |p, buf| {
+            inner.read(p, buf)
+        })?;
         self.versions = Some(Arc::clone(&versions));
         Ok(versions)
     }

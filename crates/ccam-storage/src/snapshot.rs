@@ -119,6 +119,28 @@ impl PageVersions {
         v
     }
 
+    /// Builds a generation-0 mirror from one tolerant scan of `live`:
+    /// `read` fills a page's bytes, and a page failing its checksum is
+    /// kept as [`PageImage::Unreadable`] so snapshot reads of it degrade
+    /// like device reads would. Any other read error aborts the scan.
+    pub fn scan(
+        page_size: usize,
+        live: impl IntoIterator<Item = PageId>,
+        mut read: impl FnMut(PageId, &mut [u8]) -> StorageResult<()>,
+    ) -> StorageResult<Arc<PageVersions>> {
+        let mut images = Vec::new();
+        let mut buf = vec![0u8; page_size];
+        for page in live {
+            let image = match read(page, &mut buf) {
+                Ok(()) => PageImage::Bytes(buf.clone().into_boxed_slice()),
+                Err(StorageError::ChecksumMismatch { .. }) => PageImage::Unreadable,
+                Err(e) => return Err(e),
+            };
+            images.push((page.0, image));
+        }
+        Ok(PageVersions::from_images(page_size, images))
+    }
+
     /// Page size of every image.
     pub fn page_size(&self) -> usize {
         self.page_size
@@ -400,6 +422,33 @@ mod tests {
             Err(StorageError::InvalidPage(_))
         ));
         assert_eq!(read_page(&now, 1).unwrap(), vec![3; 4]);
+    }
+
+    #[test]
+    fn scan_keeps_checksum_failures_as_unreadable_and_aborts_on_other_errors() {
+        let read = |p: PageId, buf: &mut [u8]| match p.0 {
+            1 => Err(StorageError::ChecksumMismatch {
+                page: p,
+                stored: 0,
+                computed: 1,
+            }),
+            2 => Err(StorageError::InvalidPage(p)),
+            n => {
+                buf.fill(n as u8 + 7);
+                Ok(())
+            }
+        };
+        let v = PageVersions::scan(4, [PageId(0), PageId(1)], read).unwrap();
+        let snap = SnapshotStore::pin(&v);
+        assert_eq!(read_page(&snap, 0).unwrap(), vec![7; 4]);
+        assert!(matches!(
+            read_page(&snap, 1),
+            Err(StorageError::ChecksumMismatch { .. })
+        ));
+        assert!(matches!(
+            PageVersions::scan(4, [PageId(0), PageId(2)], read),
+            Err(StorageError::InvalidPage(_))
+        ));
     }
 
     #[test]
