@@ -25,9 +25,9 @@
 //! ```
 //!
 //! `--quick` shrinks the grid and op counts for CI smoke runs.
-//! `--check-baseline FILE` compares the fresh clustering throughput
-//! against a previously committed report and exits non-zero when it
-//! regressed more than 2x (the CI guard against accidental
+//! `--check-baseline FILE` compares the fresh 1-thread clustering
+//! throughput against a previously committed report's 1-thread row and
+//! exits non-zero when it regressed more than 2x (the CI guard against accidental
 //! de-parallelization or an O(n²) slip).
 
 use std::sync::{Arc, Barrier, Mutex};
@@ -204,36 +204,25 @@ fn main() {
         let why = "clustering output differed across thread counts";
         gates.check(&format!("{sname}_identical_across_threads"), *ident, why);
     }
-    let best_of = |rows: &[SweepRow]| rows.iter().map(|r| r.2).fold(0.0, f64::max);
-    let best_nps = best_of(cluster_rows);
     if let Some(path) = baseline {
-        let base = report::read_numbers(&path);
-        let base_nps = base.get("best_nodes_per_sec");
-        let base_nps = base_nps.unwrap_or_else(|| die(&format!("{path}: no best_nodes_per_sec")));
+        // Compare 1-thread rows: they measure the same work whatever
+        // the core count of this machine or the baseline's, so the gate
+        // holds on every machine. The first `nodes_per_sec` of a report
+        // is its flat sweep's 1-thread row.
+        let base_nps = report::read_numbers(&path).get("nodes_per_sec");
+        let base_nps = base_nps.unwrap_or_else(|| die(&format!("{path}: no nodes_per_sec")));
+        let nps = cluster_rows.iter().find(|r| r.0 == 1).map_or(0.0, |r| r.2);
         // Throughput regressed when the baseline is over 2x this run's.
-        let ratio = base_nps / best_nps;
-        // A baseline recorded on a different core count is a different
-        // machine: its absolute throughput says nothing about this run,
-        // so comparing would either mask a real regression or fail a
-        // healthy run. Warn loudly and report the ratio without gating.
-        let base_cores = base.get("available_threads");
-        if base_cores.is_none_or(|b| b as usize == cores) {
-            gates.at_most("baseline_throughput_ratio", ratio, 2.0);
-            println!(
-                "baseline check: {best_nps:.0} nodes/s vs baseline {base_nps:.0} nodes/s \
-                 ({ratio:.2}x, threshold 2x)"
-            );
-        } else {
-            eprintln!(
-                "WARNING: baseline {path} was recorded on {:.0} cores, this run has {cores} — \
-                 cross-machine throughput is not comparable; regression gate skipped \
-                 (informational: {best_nps:.0} nodes/s vs baseline {base_nps:.0}, {ratio:.2}x)",
-                base_cores.unwrap_or(0.0)
-            );
-        }
+        let ratio = base_nps / nps;
+        gates.at_most("baseline_throughput_ratio", ratio, 2.0);
+        println!(
+            "baseline check: 1-thread {nps:.0} nodes/s vs baseline {base_nps:.0} nodes/s \
+             ({ratio:.2}x, threshold 2x)"
+        );
     }
 
     // ---- Report -----------------------------------------------------
+    let best_of = |rows: &[SweepRow]| rows.iter().map(|r| r.2).fold(0.0, f64::max);
     let mut j = Obj::new().set(
         "config",
         Obj::new()

@@ -48,7 +48,7 @@ use ccam_graph::{Network, NodeId};
 use ccam_server::client::{Backoff, MultiClient};
 use ccam_server::protocol::{Request, Response, Status};
 use ccam_server::{ReplRole, Server, ServerConfig, ServerHandle};
-use ccam_storage::{FilePageStore, PageStore, WalStore};
+use ccam_storage::{Durable, FilePageStore, PageStore, WalStore};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 

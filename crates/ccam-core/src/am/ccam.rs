@@ -659,19 +659,20 @@ impl<S: ccam_storage::PageStore> Ccam<S> {
         Ok(written)
     }
 
-    /// Asks the backing store to keep multi-version committed page
-    /// images (`WalStore::enable_snapshots`), making every subsequent
-    /// snapshot capture a cheap generation pin instead of a deep copy.
+    /// Asks the backing store's log to keep multi-version committed page
+    /// images ([`ccam_storage::Durable::enable_snapshots`]), making every
+    /// subsequent snapshot capture a cheap generation pin instead of a
+    /// deep copy.
     /// Commits first so the store is at a batch boundary. Returns false
     /// when the store has no native versioning (captures then deep-copy
     /// the committed pages instead — still correct, just O(data)).
     pub fn enable_snapshots(&mut self) -> StorageResult<bool> {
         self.file.commit()?;
-        Ok(self
+        let versions = self
             .file
             .pool()
-            .with_store_mut(|s| s.enable_snapshots())?
-            .is_some())
+            .with_store_mut(|s| s.durable_mut().map(|d| d.enable_snapshots()));
+        Ok(versions.transpose()?.is_some())
     }
 }
 
@@ -689,13 +690,13 @@ impl<S: ccam_storage::PageStore> crate::epoch::Snapshotable for Ccam<S> {
         // stores it writes dirty frames back so the copy below sees the
         // committed bytes.
         self.file.commit()?;
-        let store = match self.file.pool().with_store(|s| s.page_versions()) {
+        let pool = self.file.pool();
+        let store = match pool.with_store(|s| s.durable()?.page_versions()) {
             Some(versions) => ccam_storage::SnapshotStore::pin(&versions),
             None => {
                 // No native versioning: freeze a one-shot deep copy of
                 // the committed pages (tolerating unreadable ones, which
                 // the view quarantines like the device path would).
-                let pool = self.file.pool();
                 let versions = ccam_storage::PageVersions::scan(
                     self.file.page_size(),
                     pool.with_store(ccam_storage::PageStore::live_pages),
@@ -1048,5 +1049,26 @@ mod tests {
             wcrr > 0.6,
             "hot chain should be mostly colocated, wcrr = {wcrr:.3}"
         );
+    }
+
+    #[test]
+    fn enable_snapshots_reaches_a_wal_under_a_fault_injector() {
+        use ccam_storage::{FaultStore, MemPageStore, PageStore, WalStore};
+        let net = grid_network(5, 5, 1.0);
+        let wal_path =
+            std::env::temp_dir().join(format!("ccam-core-snapshots-{}.wal", std::process::id()));
+        let wal = WalStore::create(MemPageStore::new(512).unwrap(), &wal_path).unwrap();
+        let (store, _ctl) = FaultStore::new(wal, 0);
+        let mut am = CcamBuilder::new(512).build_static_on(store, &net).unwrap();
+        assert!(am.enable_snapshots().unwrap(), "no native versioning");
+        let versions = am
+            .file()
+            .pool()
+            .with_store(|s| s.durable()?.page_versions());
+        assert!(versions.is_some());
+        // Without a log, captures fall back to deep copies.
+        let mut plain = CcamBuilder::new(512).build_static(&net).unwrap();
+        assert!(!plain.enable_snapshots().unwrap());
+        std::fs::remove_file(&wal_path).ok();
     }
 }

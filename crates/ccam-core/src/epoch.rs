@@ -31,7 +31,7 @@
 //!
 //! # Version lifecycle
 //!
-//! For a WAL-backed store with `WalStore::enable_snapshots` on, capture
+//! For a WAL-backed store with `Durable::enable_snapshots` on, capture
 //! pins a *generation* of the store's multi-version page images
 //! (`ccam_storage::snapshot`): the view reads those frozen images and
 //! the pin is released when the last `Snapshot` holding the view drops,

@@ -252,11 +252,14 @@ impl<S: PageStore> NetworkFile<S> {
     /// `sync()` instead, which lands the same all-or-nothing guarantee:
     /// the file holds either none or all of the operation's writes.
     pub fn abort(&mut self) -> StorageResult<bool> {
-        if !self.pool.with_store(|s| s.supports_rollback()) {
+        if self.pool.with_store(|s| s.durable().is_none()) {
             return Ok(false);
         }
         self.pool.discard_frames();
-        if self.pool.with_store_mut(|s| s.rollback()).is_err() {
+        let rolled_back = self
+            .pool
+            .with_store_mut(|s| s.durable_mut().map(|d| d.rollback()));
+        if !matches!(rolled_back, Some(Ok(()))) {
             // Past the commit point: finish applying the logged batch.
             self.pool.with_store_mut(|s| s.sync())?;
         }

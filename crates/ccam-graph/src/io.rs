@@ -16,7 +16,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::network::Network;
-use crate::record::{decode_record, encode_record};
+use crate::record::{encode_record, try_decode_record};
 
 const MAGIC: &[u8; 8] = b"CCAMNET1";
 
@@ -61,24 +61,36 @@ pub fn save_network(net: &Network, path: &Path) -> Result<(), NetworkIoError> {
 }
 
 /// Reads a network written by [`save_network`], validating
-/// successor/predecessor cross-consistency.
+/// successor/predecessor cross-consistency. A malformed file — truncated,
+/// or with records shorter than their own length fields — is a
+/// [`NetworkIoError::Format`], never a panic.
 pub fn load_network(path: &Path) -> Result<Network, NetworkIoError> {
-    let mut input = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut input = BufReader::new(file);
+    // A file that ends early is malformed, not an I/O failure.
+    let mut read = |buf: &mut [u8]| {
+        input.read_exact(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => NetworkIoError::Format("file ends early".into()),
+            _ => NetworkIoError::Io(e),
+        })
+    };
     let mut magic = [0u8; 8];
-    input.read_exact(&mut magic)?;
+    read(&mut magic)?;
     if &magic != MAGIC {
         return Err(NetworkIoError::Format("bad magic".into()));
     }
     let mut count_buf = [0u8; 4];
-    input.read_exact(&mut count_buf)?;
+    read(&mut count_buf)?;
     let count = u32::from_le_bytes(count_buf) as usize;
 
     // Two passes over decoded records: nodes first, then edges, so edge
-    // targets always exist.
-    let mut records = Vec::with_capacity(count);
+    // targets always exist. Every record takes at least its 4-byte length
+    // prefix, so the file's length bounds what a valid count can be.
+    let mut records = Vec::with_capacity(count.min(file_len as usize / 4));
     for i in 0..count {
         let mut len_buf = [0u8; 4];
-        input.read_exact(&mut len_buf)?;
+        read(&mut len_buf)?;
         let len = u32::from_le_bytes(len_buf) as usize;
         if len > 1 << 24 {
             return Err(NetworkIoError::Format(format!(
@@ -86,8 +98,11 @@ pub fn load_network(path: &Path) -> Result<Network, NetworkIoError> {
             )));
         }
         let mut rec = vec![0u8; len];
-        input.read_exact(&mut rec)?;
-        records.push(decode_record(&rec));
+        read(&mut rec)?;
+        let r = try_decode_record(&rec).ok_or_else(|| {
+            NetworkIoError::Format(format!("record {i} shorter than its own length fields"))
+        })?;
+        records.push(r);
     }
     let mut net = Network::new();
     for r in &records {
@@ -181,6 +196,37 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(load_network(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn record_shorter_than_its_length_fields_is_a_format_error() {
+        let mut rec = encode_record(grid_network(2, 2, 1.0).nodes().next().unwrap());
+        rec.truncate(rec.len() - 3); // the predecessor list runs off the end
+        let path = temp("short-record");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&rec);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_network(&path).unwrap_err();
+        assert!(
+            matches!(&err, NetworkIoError::Format(m) if m.contains("record 0")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn huge_node_count_is_a_format_error() {
+        let path = temp("huge-count");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            load_network(&path),
+            Err(NetworkIoError::Format(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 

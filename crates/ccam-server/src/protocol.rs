@@ -88,7 +88,7 @@
 
 use std::io::{self, Read, Write};
 
-use ccam_graph::record::{decode_record, encode_record};
+use ccam_graph::record::{encode_record, try_decode_record};
 use ccam_graph::{NodeData, NodeId};
 
 /// Version byte carried by every frame payload.
@@ -619,10 +619,7 @@ impl<'a> Cursor<'a> {
     fn record(&mut self) -> Result<NodeData, ProtoError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        // decode_record panics on malformed input; records only travel
-        // server -> client and the server re-encodes from storage, so a
-        // well-formed length prefix implies a well-formed record.
-        Ok(decode_record(bytes))
+        try_decode_record(bytes).ok_or(ProtoError::Truncated)
     }
 }
 

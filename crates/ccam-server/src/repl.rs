@@ -493,7 +493,11 @@ fn run_streamer<S: PageStore + 'static>(
     // truncate past what it still needs (up to the hard cap).
     let retention = shared
         .db
-        .with_writer(|am| am.file().pool().with_store(|s| s.wal_retention()))
+        .with_writer(|am| {
+            am.file()
+                .pool()
+                .with_store(|s| s.durable().map(|d| d.wal_retention()))
+        })
         .map_err(storage_io)?;
     let slot = retention.as_ref().map(|r| r.subscribe(last_applied));
     if let Some(r) = &retention {
@@ -531,13 +535,15 @@ fn run_streamer<S: PageStore + 'static>(
             let feed = shared
                 .db
                 .with_writer(|am| {
-                    am.file()
-                        .pool()
-                        .with_store_mut(|s| s.repl_feed(sent_through))
+                    am.file().pool().with_store_mut(|s| {
+                        s.durable_mut().map(|d| d.repl_records_after(sent_through))
+                    })
                 })
-                .map_err(storage_io)?
                 .map_err(storage_io)?;
-            match feed {
+            let Some(feed) = feed else {
+                break Err(bad("store has no WAL; cannot replicate"));
+            };
+            match feed.map_err(storage_io)? {
                 ReplFeed::Records { records, next_lsn } => {
                     for chunk in chunk_records(&records) {
                         let last = chunk.last().map(|r| r.lsn).unwrap_or(sent_through);
@@ -561,9 +567,6 @@ fn run_streamer<S: PageStore + 'static>(
                     sent_through = img.applied_lsn;
                     m.inc_by("serve.repl.image_handoffs_sent", 1);
                     last_send = Instant::now();
-                }
-                ReplFeed::Unsupported => {
-                    break Err(bad("store does not support replication"));
                 }
             }
         } else if last_send.elapsed() >= HEARTBEAT_INTERVAL {
@@ -625,13 +628,17 @@ fn wait_for_image<S: PageStore + 'static>(shared: &Arc<Shared<S>>) -> io::Result
         }
         let state = shared
             .db
-            .with_writer(|am| am.file().pool().with_store_mut(|s| s.repl_image()))
+            .with_writer(|am| {
+                am.file()
+                    .pool()
+                    .with_store_mut(|s| s.durable_mut().map(|d| d.handoff_image()))
+            })
             .map_err(storage_io)?
+            .ok_or_else(|| bad("store has no WAL; cannot hand off an image"))?
             .map_err(storage_io)?;
         match state {
             ReplImageState::Ready(img) => return Ok(img),
             ReplImageState::Busy => std::thread::sleep(Duration::from_millis(5)),
-            ReplImageState::Unsupported => return Err(bad("store does not support image handoff")),
         }
     }
 }

@@ -598,9 +598,8 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Mutable access to the underlying store — the escape hatch abort
-    /// and checkpoint paths use to drive a transactional store
-    /// ([`PageStore::rollback`], [`PageStore::checkpoint`]) without going
-    /// through the frame cache.
+    /// and checkpoint paths use to drive its log
+    /// ([`PageStore::durable_mut`]) without going through the frame cache.
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.store.lock())
     }

@@ -23,11 +23,16 @@
 //! without a WAL), and recovery frees any allocation whose batch never
 //! committed.
 //!
+//! Everything a log adds beyond raw page I/O — rollback, checkpoints,
+//! snapshot versions, replication — is the [`Durable`] trait, which
+//! only `WalStore` implements; decorated stacks reach it through
+//! [`PageStore::durable_mut`].
+//!
 //! ## Failure handling
 //!
 //! An I/O error from the log or the inner store *poisons* the wrapper:
 //! further mutations fail with [`StorageError::Poisoned`] until either
-//! [`WalStore::rollback`] discards the unlogged overlay or — when the
+//! [`Durable::rollback`] discards the unlogged overlay or — when the
 //! failure struck *after* the batch was logged, i.e. after the commit
 //! point — a retried `sync()` re-applies it (apply is idempotent).
 //! Poisoning is what keeps a half-failed multi-page operation from being
@@ -61,7 +66,7 @@ const DEFAULT_RETENTION_HARD_CAP: u64 = 64 << 20;
 /// Registry of log-tail subscribers (replication followers, mostly).
 /// Each subscriber holds a [`RetentionSlot`] carrying its last-applied
 /// LSN; the minimum across live slots is a floor below which the log
-/// must not be truncated, gating [`WalStore::checkpoint`].
+/// must not be truncated, gating [`Durable::checkpoint`].
 pub struct WalRetention {
     slots: Mutex<RetentionSlots>,
 }
@@ -136,11 +141,9 @@ impl Drop for RetentionSlot {
 // ---------------------------------------------------------------------------
 
 /// Answer to "give me every committed log record past LSN `after`"
-/// ([`PageStore::repl_feed`]).
+/// ([`Durable::repl_records_after`]).
 #[derive(Debug)]
 pub enum ReplFeed {
-    /// The store has no streamable log (not WAL-backed).
-    Unsupported,
     /// A checkpoint already reclaimed the bytes after `after`; the
     /// subscriber must re-seed from a full image instead.
     NotRetained {
@@ -168,15 +171,78 @@ pub struct ReplImage {
     pub pages: Vec<(PageId, Vec<u8>)>,
 }
 
-/// Answer to an image-handoff request ([`PageStore::repl_image`]).
+/// Answer to an image-handoff request ([`Durable::handoff_image`]).
 #[derive(Debug)]
 pub enum ReplImageState {
-    /// The store has no streamable log (not WAL-backed).
-    Unsupported,
     /// Mid-batch or mid-repair: retry at the next commit boundary.
     Busy,
     /// The committed snapshot.
     Ready(ReplImage),
+}
+
+/// What a write-ahead-logged store offers beyond raw page I/O:
+/// transactions, checkpointing, multi-version snapshots and log-shipping
+/// replication. Implemented only by [`WalStore`]; any stack holding one
+/// reaches it through [`PageStore::durable`] / [`PageStore::durable_mut`],
+/// which decorators forward.
+pub trait Durable {
+    /// Discards the pending (unlogged) overlay: buffered writes and
+    /// frees are dropped and pass-through allocations are returned to
+    /// the inner store's freelist, clearing any poison.
+    ///
+    /// Fails with [`StorageError::Poisoned`] when the current batch is
+    /// already durable in the log — a logged batch is *committed* and
+    /// must be applied (retry `sync()`), not rolled back.
+    fn rollback(&mut self) -> StorageResult<()>;
+
+    /// Forces a checkpoint now: syncs the inner store and truncates the
+    /// log. Every committed batch is applied to the data file at `sync()`
+    /// time regardless of the byte cap, so the log never holds anything
+    /// the data file lacks — except mid-apply after a failure, when the
+    /// wrapper is poisoned and this refuses (retry `sync()` first).
+    ///
+    /// Truncation is skipped (the inner sync still happens) while a
+    /// subscriber or pinned old generation still needs the tail —
+    /// compare [`WalInfo::retained_lsn`] against [`WalInfo::next_lsn`]
+    /// to see whether bytes were reclaimable.
+    fn checkpoint(&mut self) -> StorageResult<()>;
+
+    /// The log's counters and LSN bounds.
+    fn info(&self) -> WalInfo;
+
+    /// The retention registry gating log truncation (see
+    /// [`WalRetention`]). Subscribe before streaming the tail so a
+    /// checkpoint cannot reclaim records mid-catch-up.
+    fn wal_retention(&self) -> Arc<WalRetention>;
+
+    /// Every committed log record stamped past `after`, or
+    /// [`ReplFeed::NotRetained`] when a checkpoint already reclaimed
+    /// them. Records in the log are committed by construction (batches
+    /// land in one atomic append), so anything returned is safe to ship.
+    fn repl_records_after(&mut self, after: u64) -> StorageResult<ReplFeed>;
+
+    /// Full committed-state snapshot for seeding a subscriber that fell
+    /// behind the retained tail. Only valid at a commit boundary —
+    /// returns [`ReplImageState::Busy`] while a batch is pending or
+    /// logged (retry after the next `sync()`).
+    fn handoff_image(&mut self) -> StorageResult<ReplImageState>;
+
+    /// The multi-version committed page images, once
+    /// [`Durable::enable_snapshots`] turned them on. Readers pin a
+    /// generation of this to get stall-free snapshot reads.
+    fn page_versions(&self) -> Option<Arc<PageVersions>>;
+
+    /// Turns on multi-version snapshot reads: seeds an in-memory mirror
+    /// of the committed page set with one tolerant scan
+    /// ([`PageVersions::scan`]: pages failing their checksum are kept as
+    /// unreadable, so snapshot reads of them degrade exactly like device
+    /// reads would), after which every committed batch is published as
+    /// a new generation readers can pin via [`Durable::page_versions`].
+    ///
+    /// Must be called at a commit boundary: fails with
+    /// [`StorageError::Poisoned`] while a batch is pending, logged or
+    /// the wrapper is poisoned.
+    fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>>;
 }
 
 /// A [`PageStore`] wrapper that write-ahead logs every mutation and turns
@@ -205,7 +271,7 @@ pub struct WalStore<S: PageStore> {
     /// on reopen merely redoes them (redo is idempotent).
     max_wal_bytes: Option<u64>,
     /// Multi-version committed page images, kept once
-    /// [`WalStore::enable_snapshots`] seeds the mirror. Each successful
+    /// [`Durable::enable_snapshots`] seeds the mirror. Each successful
     /// `sync()` publishes the committed batch as one new generation;
     /// pinned readers keep resolving the generation they pinned.
     versions: Option<Arc<PageVersions>>,
@@ -250,32 +316,6 @@ impl<S: PageStore> WalStore<S> {
             retention: WalRetention::new(),
             gen_lsns: VecDeque::new(),
         }
-    }
-
-    /// Turns on multi-version snapshot reads: seeds an in-memory mirror
-    /// of the committed page set with one tolerant scan
-    /// ([`PageVersions::scan`]: pages failing their checksum are kept as
-    /// unreadable, so snapshot reads of them degrade exactly like device
-    /// reads would), after which
-    /// every committed batch is published as a new generation readers
-    /// can pin via [`PageStore::page_versions`].
-    ///
-    /// Must be called at a commit boundary: fails with
-    /// [`StorageError::Poisoned`] while a batch is pending, logged or
-    /// the wrapper is poisoned.
-    pub fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>> {
-        if let Some(v) = &self.versions {
-            return Ok(Arc::clone(v));
-        }
-        if self.pending_ops() != 0 || self.logged || self.poisoned {
-            return Err(StorageError::Poisoned);
-        }
-        let inner = &self.inner;
-        let versions = PageVersions::scan(inner.page_size(), inner.live_pages(), |p, buf| {
-            inner.read(p, buf)
-        })?;
-        self.versions = Some(Arc::clone(&versions));
-        Ok(versions)
     }
 
     /// Publishes the just-applied batch as the next committed
@@ -326,28 +366,11 @@ impl<S: PageStore> WalStore<S> {
         self.poisoned
     }
 
-    /// Commit batches appended to the log over this handle's lifetime.
-    pub fn commits(&self) -> u64 {
-        self.wal.commit_count()
-    }
-
     /// Caps the live log at roughly `limit` bytes (see the
     /// `max_wal_bytes` field docs). `None` restores
     /// checkpoint-on-every-commit.
     pub fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
         self.max_wal_bytes = limit;
-    }
-
-    /// The configured live-log byte cap.
-    pub fn max_wal_bytes(&self) -> Option<u64> {
-        self.max_wal_bytes
-    }
-
-    /// The retention registry gating log truncation (see
-    /// [`WalRetention`]). Subscribe before streaming the tail so a
-    /// checkpoint cannot reclaim records mid-catch-up.
-    pub fn wal_retention(&self) -> Arc<WalRetention> {
-        Arc::clone(&self.retention)
     }
 
     /// The LSN floor below which the log must not be truncated: the
@@ -392,86 +415,10 @@ impl<S: PageStore> WalStore<S> {
 
     /// Byte size past which truncation proceeds even over a lagging
     /// subscriber's floor, bounding log growth under a stalled follower
-    /// (which then re-seeds via [`WalStore::handoff_image`]).
+    /// (which then re-seeds via [`Durable::handoff_image`]).
     fn retention_hard_cap(&self) -> u64 {
         self.max_wal_bytes
             .map_or(DEFAULT_RETENTION_HARD_CAP, |l| l.saturating_mul(4))
-    }
-
-    /// Forces a checkpoint now: syncs the inner store and truncates the
-    /// log. Every committed batch is applied to the data file at `sync()`
-    /// time regardless of the byte cap, so the log never holds anything
-    /// the data file lacks — except mid-apply after a failure, when the
-    /// wrapper is poisoned and this refuses (retry `sync()` first).
-    ///
-    /// Truncation is skipped (the inner sync still happens) while a
-    /// subscriber or pinned old generation still needs the tail —
-    /// compare [`WalInfo::retained_lsn`] against [`WalInfo::next_lsn`]
-    /// to see whether bytes were reclaimable.
-    pub fn checkpoint(&mut self) -> StorageResult<()> {
-        if self.logged || self.poisoned {
-            return Err(StorageError::Poisoned);
-        }
-        self.inner.sync()?;
-        if self.checkpoint_allowed(false) {
-            self.wal.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Every committed log record stamped past `after`, or
-    /// [`ReplFeed::NotRetained`] when a checkpoint already reclaimed
-    /// them. Records in the log are committed by construction (batches
-    /// land in one atomic append), so anything returned is safe to ship.
-    pub fn repl_records_after(&mut self, after: u64) -> StorageResult<ReplFeed> {
-        if after.saturating_add(1) < self.wal.tail_start_lsn() {
-            return Ok(ReplFeed::NotRetained {
-                tail_start_lsn: self.wal.tail_start_lsn(),
-            });
-        }
-        let records = self.wal.records_after(after)?;
-        Ok(ReplFeed::Records {
-            records,
-            next_lsn: self.wal.next_lsn(),
-        })
-    }
-
-    /// Full committed-state snapshot for seeding a subscriber that fell
-    /// behind the retained tail. Only valid at a commit boundary —
-    /// returns [`ReplImageState::Busy`] while a batch is pending or
-    /// logged (retry after the next `sync()`).
-    pub fn handoff_image(&mut self) -> StorageResult<ReplImageState> {
-        if self.pending_ops() != 0 || self.logged || self.poisoned {
-            return Ok(ReplImageState::Busy);
-        }
-        let pages = live_snapshot(&self.inner)?;
-        Ok(ReplImageState::Ready(ReplImage {
-            applied_lsn: self.wal.next_lsn() - 1,
-            page_size: self.inner.page_size(),
-            pages,
-        }))
-    }
-
-    /// Discards the pending (unlogged) overlay: buffered writes and
-    /// frees are dropped and pass-through allocations are returned to
-    /// the inner store's freelist, clearing any poison.
-    ///
-    /// Fails with [`StorageError::Poisoned`] when the current batch is
-    /// already durable in the log — a logged batch is *committed* and
-    /// must be applied (retry `sync()`), not rolled back.
-    pub fn rollback(&mut self) -> StorageResult<()> {
-        if self.logged {
-            return Err(StorageError::Poisoned);
-        }
-        self.pending_writes.clear();
-        self.pending_frees.clear();
-        // Reverse order restores the inner freelist to its pre-batch
-        // LIFO state.
-        while let Some(p) = self.pending_allocs.pop() {
-            self.inner.free(p)?;
-        }
-        self.poisoned = false;
-        Ok(())
     }
 
     /// Consumes the wrapper, returning the inner store. Pending
@@ -665,54 +612,12 @@ impl<S: PageStore> PageStore for WalStore<S> {
             .collect()
     }
 
-    fn supports_rollback(&self) -> bool {
-        true
+    fn durable(&self) -> Option<&dyn Durable> {
+        Some(self)
     }
 
-    fn rollback(&mut self) -> StorageResult<()> {
-        WalStore::rollback(self)
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        WalStore::checkpoint(self)
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        WalStore::set_max_wal_bytes(self, limit)
-    }
-
-    fn wal_info(&self) -> Option<WalInfo> {
-        Some(WalInfo {
-            live_bytes: self.wal.len(),
-            commits: self.wal.commit_count(),
-            checkpoints: self.wal.checkpoint_count(),
-            bytes_appended: self.wal.bytes_appended(),
-            retained_lsn: self
-                .truncation_floor(false)
-                .unwrap_or_else(|| self.wal.next_lsn() - 1),
-            next_lsn: self.wal.next_lsn(),
-            tail_start_lsn: self.wal.tail_start_lsn(),
-        })
-    }
-
-    fn wal_retention(&self) -> Option<Arc<WalRetention>> {
-        Some(WalStore::wal_retention(self))
-    }
-
-    fn repl_feed(&mut self, after: u64) -> StorageResult<ReplFeed> {
-        WalStore::repl_records_after(self, after)
-    }
-
-    fn repl_image(&mut self) -> StorageResult<ReplImageState> {
-        WalStore::handoff_image(self)
-    }
-
-    fn page_versions(&self) -> Option<Arc<PageVersions>> {
-        self.versions.clone()
-    }
-
-    fn enable_snapshots(&mut self) -> StorageResult<Option<Arc<PageVersions>>> {
-        WalStore::enable_snapshots(self).map(Some)
+    fn durable_mut(&mut self) -> Option<&mut dyn Durable> {
+        Some(self)
     }
 
     fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()> {
@@ -737,6 +642,96 @@ impl<S: PageStore> PageStore for WalStore<S> {
                 Err(e)
             }
         }
+    }
+}
+
+impl<S: PageStore> Durable for WalStore<S> {
+    fn rollback(&mut self) -> StorageResult<()> {
+        if self.logged {
+            return Err(StorageError::Poisoned);
+        }
+        self.pending_writes.clear();
+        self.pending_frees.clear();
+        // Reverse order restores the inner freelist to its pre-batch
+        // LIFO state.
+        while let Some(p) = self.pending_allocs.pop() {
+            self.inner.free(p)?;
+        }
+        self.poisoned = false;
+        Ok(())
+    }
+
+    fn checkpoint(&mut self) -> StorageResult<()> {
+        if self.logged || self.poisoned {
+            return Err(StorageError::Poisoned);
+        }
+        self.inner.sync()?;
+        if self.checkpoint_allowed(false) {
+            self.wal.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    fn info(&self) -> WalInfo {
+        WalInfo {
+            live_bytes: self.wal.len(),
+            commits: self.wal.commit_count(),
+            checkpoints: self.wal.checkpoint_count(),
+            bytes_appended: self.wal.bytes_appended(),
+            retained_lsn: self
+                .truncation_floor(false)
+                .unwrap_or_else(|| self.wal.next_lsn() - 1),
+            next_lsn: self.wal.next_lsn(),
+            tail_start_lsn: self.wal.tail_start_lsn(),
+        }
+    }
+
+    fn wal_retention(&self) -> Arc<WalRetention> {
+        Arc::clone(&self.retention)
+    }
+
+    fn repl_records_after(&mut self, after: u64) -> StorageResult<ReplFeed> {
+        if after.saturating_add(1) < self.wal.tail_start_lsn() {
+            return Ok(ReplFeed::NotRetained {
+                tail_start_lsn: self.wal.tail_start_lsn(),
+            });
+        }
+        let records = self.wal.records_after(after)?;
+        Ok(ReplFeed::Records {
+            records,
+            next_lsn: self.wal.next_lsn(),
+        })
+    }
+
+    fn handoff_image(&mut self) -> StorageResult<ReplImageState> {
+        if self.pending_ops() != 0 || self.logged || self.poisoned {
+            return Ok(ReplImageState::Busy);
+        }
+        let pages = live_snapshot(&self.inner)?;
+        Ok(ReplImageState::Ready(ReplImage {
+            applied_lsn: self.wal.next_lsn() - 1,
+            page_size: self.inner.page_size(),
+            pages,
+        }))
+    }
+
+    fn page_versions(&self) -> Option<Arc<PageVersions>> {
+        self.versions.clone()
+    }
+
+    fn enable_snapshots(&mut self) -> StorageResult<Arc<PageVersions>> {
+        if let Some(v) = &self.versions {
+            return Ok(Arc::clone(v));
+        }
+        if self.pending_ops() != 0 || self.logged || self.poisoned {
+            return Err(StorageError::Poisoned);
+        }
+        let inner = &self.inner;
+        let versions = PageVersions::scan(inner.page_size(), inner.live_pages(), |p, buf| {
+            inner.read(p, buf)
+        })?;
+        self.versions = Some(Arc::clone(&versions));
+        Ok(versions)
     }
 }
 
@@ -771,7 +766,7 @@ mod tests {
         s.sync().unwrap();
         s.inner().read(p, &mut buf).unwrap();
         assert_eq!(buf, [5u8; 64]);
-        assert_eq!(s.commits(), 1);
+        assert_eq!(s.info().commits, 1);
         assert_eq!(s.pending_ops(), 0);
         // Commit checkpoints: the log holds no batch afterwards.
         assert!(s.wal().len() < 100);

@@ -20,7 +20,9 @@
 //! * [`wal`], [`durable`], [`recovery`] — an opt-in write-ahead log:
 //!   [`WalStore`] wraps any [`PageStore`], turns `sync()` into an atomic
 //!   commit point, and replays the log on reopen so a crash at an
-//!   arbitrary instant never tears a multi-page update,
+//!   arbitrary instant never tears a multi-page update; its rollback,
+//!   checkpoint, snapshot and replication operations form the
+//!   [`Durable`] trait, reached on any stack via [`PageStore::durable`],
 //! * [`retry`] — [`RetryStore`] absorbs transient faults with bounded
 //!   attempts and deterministic exponential backoff,
 //! * [`integrity`] — [`scrub`](integrity::scrub) verifies every page's
@@ -51,7 +53,9 @@ pub mod testing;
 pub mod wal;
 
 pub use buffer::{BufferPool, Prefetcher};
-pub use durable::{ReplFeed, ReplImage, ReplImageState, RetentionSlot, WalRetention, WalStore};
+pub use durable::{
+    Durable, ReplFeed, ReplImage, ReplImageState, RetentionSlot, WalRetention, WalStore,
+};
 pub use error::{StorageError, StorageResult};
 pub use integrity::{committed_images, scrub, scrub_file, PageStatus, ScrubReport};
 pub use metrics::{Histogram, MetricsRegistry, OpProfile, PageAccessKind, PageEvent};

@@ -34,6 +34,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::durable::Durable;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::stats::IoStats;
@@ -278,51 +279,14 @@ impl<S: PageStore> PageStore for RetryStore<S> {
         self.run_mut(|s| s.ensure_allocated(id))
     }
 
-    // Transactional hooks pass straight through (rollback/checkpoint are
-    // not retried: a failed rollback means the inner store is poisoned,
-    // not glitched). NoSpace is likewise never transient — `is_transient`
-    // only matches Io and ChecksumMismatch.
-
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
+    // The log's hooks pass straight through, unretried: a failed
+    // rollback means the inner store is poisoned, not glitched.
+    fn durable(&self) -> Option<&dyn Durable> {
+        self.inner.durable()
     }
 
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-
-    fn wal_retention(&self) -> Option<Arc<crate::WalRetention>> {
-        self.inner.wal_retention()
-    }
-
-    fn repl_feed(&mut self, after: u64) -> StorageResult<crate::ReplFeed> {
-        self.inner.repl_feed(after)
-    }
-
-    fn repl_image(&mut self) -> StorageResult<crate::ReplImageState> {
-        self.inner.repl_image()
+    fn durable_mut(&mut self) -> Option<&mut dyn Durable> {
+        self.inner.durable_mut()
     }
 }
 

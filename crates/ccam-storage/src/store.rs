@@ -14,12 +14,12 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
+use crate::durable::Durable;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{validate_page_size, PageId};
 
-/// Write-ahead-log counters reported by stores that layer a WAL (see
-/// `WalStore`); plain stores report `None` from
-/// [`PageStore::wal_info`].
+/// Write-ahead-log counters ([`Durable::info`]); plain stores report
+/// `None` from [`PageStore::wal_info`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalInfo {
     /// Live log bytes right now (header + surviving records).
@@ -90,83 +90,24 @@ pub trait PageStore: Send {
     /// created free.
     fn ensure_allocated(&mut self, id: PageId) -> StorageResult<()>;
 
-    // -- transactional hooks (defaulted no-ops for plain stores) ---------
-    //
-    // These let callers holding a `Box<dyn PageStore>` (the CLI) and the
-    // buffer pool drive commit/abort and checkpointing without knowing
-    // whether a WAL sits underneath.
-
-    /// True when this store buffers mutations until `sync` and can
-    /// discard an uncommitted batch via [`PageStore::rollback`]. Plain
-    /// stores apply writes in place and return false.
-    fn supports_rollback(&self) -> bool {
-        false
+    /// The WAL, snapshot and replication capabilities of this stack:
+    /// `Some` exactly when a [`WalStore`](crate::WalStore) sits in it.
+    /// Decorators forward to their inner store; plain stores keep the
+    /// `None` default.
+    fn durable(&self) -> Option<&dyn Durable> {
+        None
     }
 
-    /// Discards every mutation since the last `sync` (the uncommitted
-    /// batch). A no-op for stores without transactional buffering.
-    fn rollback(&mut self) -> StorageResult<()> {
-        Ok(())
+    /// Mutable form of [`PageStore::durable`] — commit/abort, checkpoint
+    /// and replication paths drive the log through it.
+    fn durable_mut(&mut self) -> Option<&mut dyn Durable> {
+        None
     }
 
-    /// Forces a WAL checkpoint: once every committed batch is durable in
-    /// the data file, the log is truncated. A no-op without a WAL.
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        Ok(())
-    }
-
-    /// Caps the live WAL at roughly `limit` bytes: the store checkpoints
-    /// automatically once the log grows past it (`None` restores
-    /// checkpoint-on-every-commit). A no-op without a WAL.
-    fn set_max_wal_bytes(&mut self, _limit: Option<u64>) {}
-
-    /// WAL counters, when a WAL is present.
+    /// WAL counters, when a WAL is present. Defined once here from
+    /// [`PageStore::durable`]; no store overrides it.
     fn wal_info(&self) -> Option<WalInfo> {
-        None
-    }
-
-    /// The store's multi-version committed page images, when it keeps
-    /// them (see `WalStore::enable_snapshots`). Readers pin a generation
-    /// of this to get stall-free snapshot reads; stores without native
-    /// versioning return `None` and snapshots fall back to a one-shot
-    /// deep copy.
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        None
-    }
-
-    /// Asks the store to start keeping multi-version committed images
-    /// (see `WalStore::enable_snapshots`). Returns `None` when the store
-    /// has no native versioning — callers then fall back to deep-copy
-    /// snapshots. Must be called at a commit boundary.
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        Ok(None)
-    }
-
-    // -- replication hooks (defaulted no-ops for plain stores) -----------
-    //
-    // Log-shipping replication streams the WAL tail to followers; these
-    // let the serving layer drive it through `Box<dyn PageStore>`.
-
-    /// The registry of log-tail subscribers gating checkpoint truncation
-    /// (see `WalRetention`). `None` without a WAL.
-    fn wal_retention(&self) -> Option<std::sync::Arc<crate::WalRetention>> {
-        None
-    }
-
-    /// Committed log records stamped past `after`, for shipping to a
-    /// replication subscriber. [`crate::ReplFeed::Unsupported`] without
-    /// a WAL.
-    fn repl_feed(&mut self, _after: u64) -> StorageResult<crate::ReplFeed> {
-        Ok(crate::ReplFeed::Unsupported)
-    }
-
-    /// Full committed-state snapshot for re-seeding a subscriber that
-    /// fell behind the retained log tail.
-    /// [`crate::ReplImageState::Unsupported`] without a WAL.
-    fn repl_image(&mut self) -> StorageResult<crate::ReplImageState> {
-        Ok(crate::ReplImageState::Unsupported)
+        self.durable().map(Durable::info)
     }
 }
 
@@ -214,46 +155,12 @@ impl<P: PageStore + ?Sized> PageStore for Box<P> {
         (**self).ensure_allocated(id)
     }
 
-    fn supports_rollback(&self) -> bool {
-        (**self).supports_rollback()
+    fn durable(&self) -> Option<&dyn Durable> {
+        (**self).durable()
     }
 
-    fn rollback(&mut self) -> StorageResult<()> {
-        (**self).rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        (**self).checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        (**self).set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<WalInfo> {
-        (**self).wal_info()
-    }
-
-    fn page_versions(&self) -> Option<std::sync::Arc<crate::snapshot::PageVersions>> {
-        (**self).page_versions()
-    }
-
-    fn enable_snapshots(
-        &mut self,
-    ) -> StorageResult<Option<std::sync::Arc<crate::snapshot::PageVersions>>> {
-        (**self).enable_snapshots()
-    }
-
-    fn wal_retention(&self) -> Option<std::sync::Arc<crate::WalRetention>> {
-        (**self).wal_retention()
-    }
-
-    fn repl_feed(&mut self, after: u64) -> StorageResult<crate::ReplFeed> {
-        (**self).repl_feed(after)
-    }
-
-    fn repl_image(&mut self) -> StorageResult<crate::ReplImageState> {
-        (**self).repl_image()
+    fn durable_mut(&mut self) -> Option<&mut dyn Durable> {
+        (**self).durable_mut()
     }
 }
 

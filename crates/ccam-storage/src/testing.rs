@@ -11,9 +11,11 @@
 //!   [`FaultController::stop_failing`]. Walks higher layers' error paths.
 //! * **Power cut** — [`FaultController::crash_after`]: the next `ops`
 //!   mutations succeed, then the store dies, optionally tearing the page
-//!   write it dies on ([`TornWrite`]). A dead store fails everything —
-//!   reads, `rollback` and `checkpoint` included — until
-//!   [`FaultController::revive`]. For crash-recovery tests.
+//!   write it dies on ([`TornWrite`]). A dead store fails every page
+//!   operation, reads included, until [`FaultController::revive`]. For
+//!   crash-recovery tests, which put the injector *under* a `WalStore`:
+//!   the log's own hooks ([`PageStore::durable_mut`]) are not page I/O
+//!   and pass through an injector stacked above it unfaulted.
 //! * **Full disk** — [`FaultController::fill_after`]: the next `ops`
 //!   mutations succeed, then allocate / write / sync / ensure fail with
 //!   [`StorageError::NoSpace`] (the filling write optionally landing a
@@ -47,6 +49,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::durable::Durable;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::retry::xorshift64_star;
@@ -416,14 +419,6 @@ impl FaultController {
         }
         self.plan.lock().after_stall(op)
     }
-
-    /// Fails `rollback` and `checkpoint` on a dead store.
-    fn alive(&self) -> StorageResult<()> {
-        if self.is_dead() {
-            return Err(power_failure());
-        }
-        Ok(())
-    }
 }
 
 /// A [`PageStore`] wrapper injecting the faults its [`FaultController`]
@@ -529,46 +524,12 @@ impl<S: PageStore> PageStore for FaultStore<S> {
         self.inner.ensure_allocated(id)
     }
 
-    fn supports_rollback(&self) -> bool {
-        self.inner.supports_rollback()
+    fn durable(&self) -> Option<&dyn Durable> {
+        self.inner.durable()
     }
 
-    fn rollback(&mut self) -> StorageResult<()> {
-        self.controller.alive()?;
-        self.inner.rollback()
-    }
-
-    fn checkpoint(&mut self) -> StorageResult<()> {
-        self.controller.alive()?;
-        self.inner.checkpoint()
-    }
-
-    fn set_max_wal_bytes(&mut self, limit: Option<u64>) {
-        self.inner.set_max_wal_bytes(limit)
-    }
-
-    fn wal_info(&self) -> Option<crate::store::WalInfo> {
-        self.inner.wal_info()
-    }
-
-    fn page_versions(&self) -> Option<Arc<crate::snapshot::PageVersions>> {
-        self.inner.page_versions()
-    }
-
-    fn enable_snapshots(&mut self) -> StorageResult<Option<Arc<crate::snapshot::PageVersions>>> {
-        self.inner.enable_snapshots()
-    }
-
-    fn wal_retention(&self) -> Option<Arc<crate::WalRetention>> {
-        self.inner.wal_retention()
-    }
-
-    fn repl_feed(&mut self, after: u64) -> StorageResult<crate::ReplFeed> {
-        self.inner.repl_feed(after)
-    }
-
-    fn repl_image(&mut self) -> StorageResult<crate::ReplImageState> {
-        self.inner.repl_image()
+    fn durable_mut(&mut self) -> Option<&mut dyn Durable> {
+        self.inner.durable_mut()
     }
 }
 
@@ -877,38 +838,53 @@ mod tests {
     }
 
     #[test]
-    fn wrappers_forward_wal_hooks() {
+    fn durable_reaches_the_wal_through_every_wrapper() {
         use crate::durable::{ReplFeed, WalStore};
         use crate::retry::{RetryPolicy, RetryStore};
-        let mut p = std::env::temp_dir();
-        p.push(format!("ccam-testing-hooks-{}.wal", std::process::id()));
-        let wal = WalStore::create(mem(), &p).unwrap();
-        // Fault and retry wrappers above a WalStore still report and
-        // control it, replication hooks included.
-        let (faulty, _ctl) = FaultStore::new(wal, 0);
-        let mut s = RetryStore::new(faulty, RetryPolicy::default());
-        assert!(s.supports_rollback());
-        assert!(s.wal_info().is_some());
-        s.set_max_wal_bytes(Some(1 << 20));
-        let a = s.allocate().unwrap();
-        s.write(a, &[1u8; 64]).unwrap();
-        s.sync().unwrap();
-        assert!(s.wal_info().unwrap().live_bytes > 24);
-        s.checkpoint().unwrap();
-        assert!(s.wal_info().unwrap().checkpoints >= 1);
-        assert!(s.wal_retention().is_some());
-        assert!(!matches!(s.repl_feed(0).unwrap(), ReplFeed::Unsupported));
-        let mut faulty = s.into_inner();
-        assert!(faulty.wal_retention().is_some());
-        assert!(!matches!(
-            faulty.repl_feed(0).unwrap(),
-            ReplFeed::Unsupported
-        ));
-        // A plain store reports no WAL and refuses nothing.
-        let (plain, _c) = FaultStore::new(mem(), 0);
-        assert!(!plain.supports_rollback());
-        assert!(plain.wal_info().is_none());
-        std::fs::remove_file(&p).ok();
+        use crate::snapshot::SnapshotStore;
+        use crate::store::FilePageStore;
+        let path = |tag: &str| {
+            std::env::temp_dir().join(format!("ccam-testing-durable-{}-{tag}", std::process::id()))
+        };
+        let wal = |tag: &str| WalStore::create(mem(), &path(tag)).unwrap();
+
+        let mut boxed: Box<dyn PageStore> = Box::new(wal("boxed.wal"));
+        let (mut faulty, _ctl) = FaultStore::new(wal("fault.wal"), 0);
+        let mut retried = RetryStore::new(wal("retry.wal"), RetryPolicy::default());
+        for s in [&mut boxed as &mut dyn PageStore, &mut faulty, &mut retried] {
+            let a = s.allocate().unwrap();
+            s.write(a, &[1u8; 64]).unwrap();
+            s.sync().unwrap();
+            assert_eq!(s.wal_info().unwrap().commits, 1);
+            // An uncommitted allocation is undone through the accessor.
+            let b = s.allocate().unwrap();
+            let d = s.durable_mut().expect("a WalStore sits in this stack");
+            d.rollback().unwrap();
+            d.checkpoint().unwrap();
+            assert!(d.info().checkpoints >= 1);
+            assert!(matches!(
+                d.repl_records_after(0).unwrap(),
+                ReplFeed::NotRetained { .. }
+            ));
+            let versions = d.enable_snapshots().unwrap();
+            assert!(d.page_versions().is_some());
+            assert!(!s.is_live(b));
+            // A pinned snapshot is a plain store again.
+            let snap = SnapshotStore::pin(&versions);
+            assert!(snap.durable().is_none());
+            assert!(snap.wal_info().is_none());
+        }
+
+        // Stores without a log report none, wrapped or not.
+        let file = FilePageStore::create(&path("plain.db"), 64).unwrap();
+        let (faulty_plain, _c) = FaultStore::new(mem(), 0);
+        assert!(mem().durable().is_none());
+        assert!(file.durable().is_none());
+        assert!(faulty_plain.durable().is_none());
+        assert!(file.wal_info().is_none());
+        for tag in ["boxed.wal", "fault.wal", "retry.wal", "plain.db"] {
+            std::fs::remove_file(path(tag)).ok();
+        }
     }
 
     #[test]

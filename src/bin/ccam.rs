@@ -73,7 +73,8 @@ use ccam::graph::{load_network, save_network, Network, NodeId};
 use ccam::partition::PartitionStrategy;
 use ccam::storage::stats::IoStats;
 use ccam::storage::{
-    wal_sidecar, FilePageStore, MetricsRegistry, PageStore, RetryPolicy, RetryStore, Wal, WalStore,
+    wal_sidecar, Durable, FilePageStore, MetricsRegistry, PageStore, RetryPolicy, RetryStore, Wal,
+    WalStore,
 };
 
 fn main() -> ExitCode {
@@ -267,28 +268,41 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Pulls `--flag value` out of `args`, returning remaining positionals.
-fn parse_flags(args: &[String], flags: &[&str]) -> (Vec<String>, HashMap<String, String>) {
+/// Pulls `--flag value` (for names in `values`) and bare `--switch`es
+/// (names in `switches`) out of `args`, returning the positionals and
+/// the flags — a switch maps to `"true"`. Any other `--flag` is an error
+/// naming it, so a typo never silently drops an option.
+fn parse_flags(
+    args: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut pos = Vec::new();
     let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if flags.contains(&name) && i + 1 < args.len() {
-                map.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-                continue;
-            }
-            // Bare switch.
-            map.insert(name.to_string(), "true".to_string());
-            i += 1;
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        let Some(name) = a.strip_prefix("--") else {
+            pos.push(a.clone());
             continue;
-        }
-        pos.push(a.clone());
-        i += 1;
+        };
+        let value = if values.contains(&name) {
+            args.next().ok_or(format!("{a} needs a value"))?.clone()
+        } else if switches.contains(&name) {
+            "true".to_string()
+        } else {
+            return Err(format!("unknown flag {a}"));
+        };
+        map.insert(name.to_string(), value);
     }
-    (pos, map)
+    Ok((pos, map))
+}
+
+/// `args` itself, for commands that take no flags of their own.
+fn positionals(args: &[String]) -> Result<&[String], String> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(format!("unknown flag {flag}")),
+        None => Ok(args),
+    }
 }
 
 fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
@@ -296,7 +310,7 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
 }
 
 fn generate(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args, &["seed", "grid"]);
+    let (pos, flags) = parse_flags(args, &["seed", "grid"], &["minneapolis"])?;
     let [out] = pos.as_slice() else {
         return Err("generate needs <out.net>".into());
     };
@@ -322,7 +336,7 @@ fn generate(args: &[String]) -> Result<(), String> {
 }
 
 fn build(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args, &["block", "method", "threads", "strategy"]);
+    let (pos, flags) = parse_flags(args, &["block", "method", "threads", "strategy"], &["wal"])?;
     let [input, out] = pos.as_slice() else {
         return Err("build needs <in.net> <out.db>".into());
     };
@@ -540,7 +554,7 @@ fn open_db(
 /// `ccam scrub <db>`: audit every page, repair checksum failures from the
 /// committed WAL images, report what stayed quarantined.
 fn scrub(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let [db] = args else {
+    let [db] = positionals(args)? else {
         return Err("scrub needs <db>".into());
     };
     let started = std::time::Instant::now();
@@ -587,7 +601,7 @@ fn scrub(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 /// on-demand counterpart of the `--max-wal-bytes` auto-checkpoint —
 /// compacts a capped sidecar before archiving or copying it.
 fn checkpoint_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let [db] = args else {
+    let [db] = positionals(args)? else {
         return Err("checkpoint needs <db>".into());
     };
     let path = Path::new(db);
@@ -614,35 +628,31 @@ fn checkpoint_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
     ws.checkpoint().map_err(|e| e.to_string())?;
     let after = ws.wal().len();
     println!("checkpointed {db}: log {before} -> {after} bytes");
-    let info = ws.wal_info();
-    if let Some(info) = &info {
-        // A retained floor below next_lsn means a subscribed follower
-        // or pinned snapshot generation still needs those log bytes —
-        // the checkpoint kept them instead of truncating.
-        if info.retained_lsn + 1 < info.next_lsn {
-            println!(
-                "retained from lsn {} (next {}): follower or pinned generation holds the log",
-                info.retained_lsn, info.next_lsn
-            );
-        }
+    // A retained floor below next_lsn means a subscribed follower or
+    // pinned snapshot generation still needs those log bytes — the
+    // checkpoint kept them instead of truncating.
+    let info = ws.info();
+    if info.retained_lsn + 1 < info.next_lsn {
+        println!(
+            "retained from lsn {} (next {}): follower or pinned generation holds the log",
+            info.retained_lsn, info.next_lsn
+        );
     }
     if let Some(sink) = &opts.metrics {
         let r = &sink.registry;
         r.inc_by("recovery.replayed_batches", report.replayed_batches);
         r.inc_by("wal_checkpoints", 1);
         r.set_gauge("wal_live_bytes", after as f64);
-        if let Some(info) = &info {
-            r.set_gauge("wal.retained_lsn", info.retained_lsn as f64);
-            r.set_gauge("wal.next_lsn", info.next_lsn as f64);
-            r.set_gauge("wal.tail_start_lsn", info.tail_start_lsn as f64);
-        }
+        r.set_gauge("wal.retained_lsn", info.retained_lsn as f64);
+        r.set_gauge("wal.next_lsn", info.next_lsn as f64);
+        r.set_gauge("wal.tail_start_lsn", info.tail_start_lsn as f64);
         dump_metrics(opts, None)?;
     }
     Ok(())
 }
 
 fn stats(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let [db] = args else {
+    let [db] = positionals(args)? else {
         return Err("stats needs <db>".into());
     };
     let am = open_db(db, opts)?;
@@ -692,7 +702,7 @@ fn print_explain(stats: &Arc<IoStats>, opts: &OpenOptions) {
 }
 
 fn find(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args, &[]);
+    let (pos, flags) = parse_flags(args, &[], &["explain"])?;
     let [db, id] = pos.as_slice() else {
         return Err("find needs <db> <node-id> [--explain]".into());
     };
@@ -724,7 +734,7 @@ fn find(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 }
 
 fn succ(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args, &[]);
+    let (pos, flags) = parse_flags(args, &[], &["explain"])?;
     let [db, id] = pos.as_slice() else {
         return Err("succ needs <db> <node-id> [--explain]".into());
     };
@@ -758,6 +768,7 @@ fn succ(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 }
 
 fn route(args: &[String], opts: &OpenOptions) -> Result<(), String> {
+    let args = positionals(args)?;
     if args.len() < 3 {
         return Err("route needs <db> and at least two node ids".into());
     }
@@ -782,7 +793,7 @@ fn route(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 }
 
 fn astar(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let [db, from, to] = args else {
+    let [db, from, to] = positionals(args)? else {
         return Err("astar needs <db> <from> <to>".into());
     };
     let am = open_db(db, opts)?;
@@ -809,7 +820,7 @@ fn astar(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 }
 
 fn window(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let [db, x0, y0, x1, y1] = args else {
+    let [db, x0, y0, x1, y1] = positionals(args)? else {
         return Err("window needs <db> <x0> <y0> <x1> <y1>".into());
     };
     let am = open_db(db, opts)?;
@@ -828,7 +839,7 @@ fn window(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 }
 
 fn bench(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args, &["routes", "len"]);
+    let (pos, flags) = parse_flags(args, &["routes", "len"], &[])?;
     let [db] = pos.as_slice() else {
         return Err("bench needs <db>".into());
     };
@@ -885,7 +896,7 @@ fn bench(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 }
 
 fn check(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let [db] = args else {
+    let [db] = positionals(args)? else {
         return Err("check needs <db>".into());
     };
     let am = open_db(db, opts)?;
@@ -907,7 +918,7 @@ fn check(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 }
 
 fn replay_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let [db, trace] = args else {
+    let [db, trace] = positionals(args)? else {
         return Err("replay needs <db> <trace.txt>".into());
     };
     let text = std::fs::read_to_string(trace).map_err(|e| e.to_string())?;
@@ -933,7 +944,11 @@ fn replay_cmd(args: &[String], opts: &OpenOptions) -> Result<(), String> {
 /// delete/insert classes (every deleted node is re-inserted; combine
 /// with a WAL-backed database or a throwaway copy).
 fn profile(args: &[String], opts: &OpenOptions) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args, &["ops", "routes", "len", "seed"]);
+    let (pos, flags) = parse_flags(
+        args,
+        &["ops", "routes", "len", "seed"],
+        &["updates", "json"],
+    )?;
     let [db] = pos.as_slice() else {
         return Err("profile needs <db>".into());
     };
@@ -1000,7 +1015,8 @@ fn serve(args: &[String], opts: &OpenOptions) -> Result<(), String> {
             "replica-of",
             "repl-seed",
         ],
-    );
+        &[],
+    )?;
     let [db_path] = pos.as_slice() else {
         return Err("serve needs <db>".into());
     };

@@ -282,6 +282,25 @@ fn errors_are_clean() {
     assert!(!out.status.success(), "missing node must exit nonzero");
     let out = ccam(&["find", db.to_str().unwrap(), "not-a-number"]);
     assert!(!out.status.success());
+
+    // A misspelled flag is named, not dropped or misreported.
+    for args in [
+        vec!["find", db.to_str().unwrap(), "5", "--explian"],
+        vec!["serve", db.to_str().unwrap(), "--max-secnods", "10"],
+        vec!["check", db.to_str().unwrap(), "--verbose"],
+    ] {
+        let out = ccam(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {err}"
+        );
+    }
+    // A value flag without its value says so.
+    let out = ccam(&["generate", net.to_str().unwrap(), "--grid"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--grid needs a value"));
     std::fs::remove_file(&net).ok();
     std::fs::remove_file(&db).ok();
 }

@@ -37,7 +37,7 @@ use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::{Network, NodeId};
 use ccam::storage::recovery::live_snapshot;
 use ccam::storage::{
-    wal_sidecar, FaultStore, FilePageStore, MemPageStore, PageId, PageStore, StorageError,
+    wal_sidecar, Durable, FaultStore, FilePageStore, MemPageStore, PageId, PageStore, StorageError,
     SweepRng, TornWrite, WalStore,
 };
 

@@ -18,7 +18,9 @@ use std::hash::{Hash, Hasher};
 use ccam::core::am::{AccessMethod, Ccam, CcamBuilder};
 use ccam::graph::roadmap::{road_map, RoadMapConfig};
 use ccam::graph::Network;
-use ccam::storage::{MemPageStore, PageStore, ReplFeed, RetentionSlot, StampedRecord, WalStore};
+use ccam::storage::{
+    Durable, MemPageStore, PageStore, ReplFeed, RetentionSlot, StampedRecord, WalStore,
+};
 
 type WalMem = WalStore<MemPageStore>;
 
